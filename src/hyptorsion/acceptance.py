@@ -169,7 +169,8 @@ def criterion_7_pairing(require_nontrivial=True):
     count = 0
     for F, g, t, fname in _pairing_families():
         mu, cert, enh = find_good_mu(F, g, t)
-        e = weil_explicit(F, g, cert)  # asserts e^{2g+1}=1, W-independence
+        # raises CertError unless e^{2g+1} = 1 and the value is W-independent
+        e = weil_explicit(F, g, cert)
         if e != weil_closed(F, g, t.I):
             return False, f"route mismatch at {fname}, I={t.I}"
         if e == F.one:
@@ -306,8 +307,8 @@ def run_all(verbose=False):
         t0 = time.time()
         try:
             ok, detail = fn()
-        except AssertionError as exc:
-            ok, detail = False, f"assertion: {exc}"
+        except (AssertionError, CertError) as exc:
+            ok, detail = False, f"{type(exc).__name__}: {exc}"
         secs = time.time() - t0
         results.append((name, ok, detail, secs))
         if verbose:

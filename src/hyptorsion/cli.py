@@ -12,7 +12,6 @@ import argparse
 import json
 import re
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 from . import acceptance
@@ -135,7 +134,10 @@ def parse_elem(ctx, text: str):
     if text.startswith("["):
         return ctx.elem_from_json(json.loads(text))
     if isinstance(ctx, Rationals):
-        return Fraction(text)
+        try:
+            return Fraction(text)
+        except ZeroDivisionError:
+            raise CliError("bad-elem", f"zero denominator in {text!r}") from None
     return ctx.elem_from_json(int(text))
 
 
@@ -149,10 +151,14 @@ def parse_point(ctx, text: str):
 def load_curve(args, F):
     text = args.curve
     if text.endswith(".json"):
-        with open(text) as fh:
-            obj = json.load(fh)
-        F = field_make(obj["field"], seed=args.seed)
-        return F, Curve(F, obj["g"], Poly.from_json(F, obj["f"]))
+        try:
+            with open(text) as fh:
+                obj = json.load(fh)
+            spec, g, coeffs = obj["field"], obj["g"], obj["f"]
+        except (OSError, KeyError, TypeError) as exc:
+            raise CliError("bad-curve", f"cannot read curve {text!r}: {exc!r}") from None
+        F = field_make(spec, seed=args.seed)
+        return F, Curve(F, g, Poly.from_json(F, coeffs))
     if args.g is None:
         raise CliError("bad-args", "--g is required with an inline curve polynomial")
     return F, Curve(F, args.g, parse_poly(F, text))
@@ -219,7 +225,7 @@ def cmd_enumerate_families(args):
 def cmd_find_mu(args):
     F = parse_field(args.field, args.seed)
     templates = _templates(F, args)
-    if args.index >= len(templates):
+    if not 0 <= args.index < len(templates):
         raise CliError("bad-args", f"--index out of range (have {len(templates)})")
     t = templates[args.index]
     g = t.g if hasattr(t, "g") else args.g
@@ -251,15 +257,9 @@ def cmd_census(args):
     F = parse_field(f"GF:{args.p},{args.m}" if args.m > 1 else f"GF:{args.p}",
                     args.seed)
     F, C = load_curve(args, F)
-    xs = list(F.elements())
-    if args.threads > 1:
-        with ThreadPoolExecutor(max_workers=args.threads) as pool:
-            hits = list(pool.map(lambda x0: points_with_x(C, x0), xs))
-    else:
-        hits = [points_with_x(C, x0) for x0 in xs]
     found = []
-    for pts in hits:
-        for pt in pts:
+    for x0 in F.elements():
+        for pt in points_with_x(C, x0):
             if exact_order(C, embed(C, pt), args.n) == args.n:
                 found.append(pt)
     found.sort(key=lambda P: (F.to_index(P.x), F.to_index(P.y)))
@@ -276,6 +276,8 @@ def cmd_weil(args):
     t = templates[0]
     if args.mu is not None:
         mu = parse_elem(F, args.mu)
+        if mu == F.zero:
+            raise CliError("bad-args", "--mu must be nonzero")
         u1, u2 = t.u_pair(F, mu)
         cert = PairCert(args.g, F.zero, F.neg(F.one), u1, u2)
     else:
@@ -309,7 +311,6 @@ def build_parser():
         if g:
             p.add_argument("--g", type=int, required=True)
         p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--threads", type=int, default=1)
         p.add_argument("--json-out", dest="json_out", default=None)
 
     p = sub.add_parser("construct-single", help="curve from a single-point certificate")

@@ -7,137 +7,23 @@ W = (w, 0): with v1 = (u1+u2)/2 and v2 = (u1-u2)/2,
     g_Q(D)   = (v1(0) - v2(0))^2 / v2(w)^2,    v2(w)^2 = -(1+w)^{2g+1},
 
 e2 = g_P(D_Q)/g_Q(D) is the 2(2g+1)-pairing and e = e2^{g+1} its unique
-square root among (2g+1)-th roots of unity.  When f has no root in the base
-field, the evaluation runs in the extension generated by a root, and the
-descended value is checked against the base-field computation.  The closed
-route is the product of eps over the complement of the family's subset I.
-Both must agree; the characteristic must not divide 2g+1.
+square root among (2g+1)-th roots of unity.  That e2 does not depend on W is
+checked once in F[x]/(f) at the generic root w = x mod f: a congruence mod f
+holds at every root of f in its splitting field, so no root is computed.  The
+closed route is the product of eps over the complement of the family's subset
+I.  Both must agree; the characteristic must not divide 2g+1.
 """
 
 from __future__ import annotations
 
-import random
-
-from .fields import (ExtField, FieldError, InsufficientFieldError, PrimeField,
-                     nth_roots_of_unity)
+from .fields import FieldError, nth_roots_of_unity
 from .polyring import Poly
-from .torsion import PairCert
+from .torsion import CertError, PairCert
 
 
-from dataclasses import dataclass
-
-
-@dataclass(frozen=True)
-class PairingInput:
-    """A pair certificate with a Weierstrass abscissa w, in a common field."""
-
-    g: int
-    cert: PairCert
-    w: object
-
-    def __post_init__(self):
-        K = self.cert.u1.ctx
-        f = self.cert.curve_poly()
-        if f(self.w) != K.zero:
-            raise ValueError("w is not a root of f")
-        v1, v2 = self.cert.v_polys()
-        n = 2 * self.g + 1
-        lin2 = Poly(K, [K.neg(self.cert.a2), K.one])
-        if f != lin2 ** n + v2 * v2:
-            raise ValueError("v2 does not reproduce f at the second abscissa")
-
-
-def _powmod(a: Poly, e: int, mod: Poly) -> Poly:
-    result = Poly.const(a.ctx, a.ctx.one)
-    base = a % mod
-    while e:
-        if e & 1:
-            result = (result * base) % mod
-        base = (base * base) % mod
-        e >>= 1
-    return result
-
-
-def _linear_roots(f: Poly, rng):
-    """All roots of the squarefree f in its own finite coefficient field."""
-    ctx = f.ctx
-    q = ctx.order
-    x = Poly.x(ctx)
-    s = (_powmod(x, q, f) - x).gcd(f)
-    roots = []
-    stack = [s] if s.degree and s.degree > 0 else []
-    while stack:
-        s = stack.pop()
-        if s.degree == 1:
-            roots.append(ctx.neg(s.coeffs[0]))
-            continue
-        while True:
-            a = ctx.from_index(rng.randrange(q))
-            shift = Poly(ctx, [a, ctx.one])
-            t = (_powmod(shift, (q - 1) // 2, s)
-                 - Poly.const(ctx, ctx.one)).gcd(s)
-            if t.degree and 0 < t.degree < s.degree:
-                stack.append(t)
-                stack.append(s // t)
-                break
-    return roots
-
-
-def _min_factor_degree(f: Poly):
-    """Minimal degree of an irreducible factor of f over its field, plus the
-    (monic) product of all factors of that degree."""
-    ctx = f.ctx
-    q = ctx.order
-    x = Poly.x(ctx)
-    fm = f.monic()
-    for d in range(1, f.degree + 1):
-        gd = (_powmod(x, q ** d, fm) - x).gcd(fm)
-        if gd.degree and gd.degree >= d:
-            return d, gd
-    raise AssertionError("f has no irreducible factor")  # pragma: no cover
-
-
-def _lift_poly(E, lift, f: Poly) -> Poly:
-    return Poly(E, [lift(c) for c in f.coeffs])
-
-
-def root_field(F, f: Poly):
-    """(K, lift, roots): a field K >= F containing roots of f, the embedding
-    F -> K, and every root of f lying in the minimal-degree factor field."""
-    if not F.is_finite:
-        raise InsufficientFieldError(
-            "f needs a root; over Q pass to a number field (not supported)",
-            extension_degree=f.degree)
-    rng = random.Random(("roots", F.order, f.coeffs).__repr__())
-    roots = _linear_roots(f, rng)
-    if roots:
-        return F, (lambda a: a), sorted(roots, key=F.to_index)
-    d, hd = _min_factor_degree(f)
-    m = F.m if isinstance(F, ExtField) else 1
-    E = ExtField(F.char, m * d)
-    if isinstance(F, PrimeField):
-        lift = E.coerce
-    else:
-        base_mod = Poly(E, [E.coerce(c) for c in F.modulus])
-        tau_roots = _linear_roots(base_mod, rng)
-        assert tau_roots, "base modulus must split in the compositum"
-        tau = min(tau_roots, key=E.to_index)
-
-        def lift(a, _tau=tau, _E=E):
-            acc = _E.zero
-            for c in reversed(a):
-                acc = _E.add(_E.mul(acc, _tau), _E.coerce(c))
-            return acc
-
-    hd_E = _lift_poly(E, lift, hd)
-    roots = _linear_roots(hd_E, rng)
-    assert roots, "degree-d factors must split in the degree-d extension"
-    return E, lift, sorted(roots, key=E.to_index)
-
-
-def weil_explicit(F, g, cert: PairCert, check_all_roots=True):
+def weil_explicit(F, g, cert: PairCert):
     """The pairing e = e2^{g+1} of the marked points, evaluated through the
-    g_P/g_Q functions at Weierstrass roots of f; returned in F."""
+    g_P/g_Q functions at the Weierstrass points of f; returned in F."""
     n = 2 * g + 1
     if F.char and n % F.char == 0:
         raise FieldError("pairing requires characteristic prime to 2g+1")
@@ -145,36 +31,27 @@ def weil_explicit(F, g, cert: PairCert, check_all_roots=True):
     m1 = F.neg(F.one)
     num_p = F.sub(v2(m1), v1(m1))
     num_q = F.sub(v1(F.zero), v2(F.zero))
-    assert num_p != F.zero and num_q != F.zero, "degenerate pairing numerator"
-    e2_base = F.div(F.mul(num_p, num_p), F.mul(num_q, num_q))
-    e = F.pow_el(e2_base, g + 1)
-    assert F.mul(e, e) == e2_base, "e is not a square root of e2"
-    assert F.pow_el(e, n) == F.one, "e is not a (2g+1)-th root of unity"
+    if num_p == F.zero or num_q == F.zero:
+        raise CertError("degenerate pairing numerator")
+    e2 = F.div(F.mul(num_p, num_p), F.mul(num_q, num_q))
+    e = F.pow_el(e2, g + 1)
+    if F.mul(e, e) != e2:
+        raise CertError("e is not a square root of e2")
+    if F.pow_el(e, n) != F.one:
+        raise CertError("e is not a (2g+1)-th root of unity")
 
-    # Evaluate g_P(D_Q)/g_Q(D) at every reachable Weierstrass point and
-    # check each agrees with the w-free value above.
+    # g_P(D_Q)/g_Q(D) = -(num_p/num_q)^2 v2(w)^2 / (1+w)^{2g+1} must reduce
+    # to e2 at the generic root w = x mod f (deg v2 <= g < deg f).
     f = cert.curve_poly()
-    K, lift, roots = root_field(F, f)
-    if K == F:
-        cert_K = cert
-    else:
-        cert_K = PairCert(g, lift(cert.a1), lift(cert.a2),
-                          _lift_poly(K, lift, cert.u1),
-                          _lift_poly(K, lift, cert.u2))
-    _, v2K = cert_K.v_polys()
-    e2_lifted = lift(e2_base)
-    if not check_all_roots:
-        roots = roots[:1]
-    for w in roots:
-        PairingInput(g, cert_K, w)
-        one_w = K.add(K.one, w)
-        pw = K.pow_el(one_w, n)
-        v2w = v2K(w)
-        assert K.mul(v2w, v2w) == K.neg(pw), "v2(w)^2 = -(1+w)^{2g+1} failed"
-        np_K, nq_K = lift(num_p), lift(num_q)
-        g_p = K.neg(K.div(K.mul(np_K, np_K), pw))
-        g_q = K.div(K.mul(nq_K, nq_K), K.mul(v2w, v2w))
-        assert K.div(g_p, g_q) == e2_lifted, "pairing value depends on W"
+    pw = Poly(F, [F.one, F.one]) ** n % f
+    unit, pw_inv, _ = pw.xgcd(f)
+    if unit.degree != 0 or v2.gcd(f).degree != 0:
+        raise CertError("(1+w)^{2g+1} or v2(w) vanishes at a root of f")
+    v2_sq = v2 * v2
+    if not ((v2_sq + pw) % f).is_zero:
+        raise CertError("v2(w)^2 = -(1+w)^{2g+1} fails mod f")
+    if (v2_sq * pw_inv).scale(F.neg(e2)) % f != Poly.const(F, e2):
+        raise CertError("pairing value depends on W")
     return e
 
 

@@ -94,13 +94,6 @@ class TestCommands:
         assert out["payload"]["count"] == 2
         assert out["payload"]["points"] == [{"x": 0, "y": 1}, {"x": 0, "y": 4}]
 
-    def test_census_threads_agree(self, capsys):
-        _, a = run(capsys, ["census", "--p", "11", "--g", "2",
-                            "--curve", "x^5+1", "--n", "5"])
-        _, b = run(capsys, ["census", "--p", "11", "--g", "2",
-                            "--curve", "x^5+1", "--n", "5", "--threads", "4"])
-        assert a["payload"] == b["payload"]
-
     def test_enumerate_families(self, capsys):
         code, out = run(capsys, [
             "enumerate-families", "--field", "GF:11", "--g", "2"])
@@ -134,3 +127,18 @@ class TestCommands:
             "hyperelliptic", "--max", "120", "--json-out", str(path)])
         assert code == 0
         assert json.loads(path.read_text()) == out
+
+    @pytest.mark.parametrize("argv", [
+        ["verify", "--field", "Q", "--g", "2", "--curve", "x^5+1",
+         "--point", "(1/0,1)"],
+        ["weil", "--field", "GF:11", "--g", "2", "--I", "0,1", "--mu", "0"],
+        ["verify", "--curve", "missing.json", "--point", "(0,1)"],
+        ["verify", "--curve", "no-field.json", "--point", "(0,1)"],
+        ["find-mu", "--field", "GF:11", "--g", "2", "--index", "-1"],
+    ])
+    def test_malformed_input_gives_error_envelope(self, capsys, tmp_path,
+                                                  monkeypatch, argv):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "no-field.json").write_text('{"g": 2, "f": [1]}')
+        code, out = run(capsys, argv)
+        assert code == 1 and out["status"] == "error"

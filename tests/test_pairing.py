@@ -1,11 +1,17 @@
+import copy
+import os
+import subprocess
+import sys
+import textwrap
+
 import pytest
 
+import hyptorsion
 from hyptorsion.families import find_good_mu, nice_pairs_coprime
 from hyptorsion.fields import ExtField, FieldError, PrimeField
-from hyptorsion.pairing import (PairingInput, root_field, weil_closed,
-                                weil_explicit, weil_result_json)
+from hyptorsion.pairing import weil_closed, weil_explicit, weil_result_json
 from hyptorsion.polyring import Poly
-from hyptorsion.torsion import PairCert
+from hyptorsion.torsion import CertError, PairCert
 
 F11 = PrimeField(11)
 
@@ -75,54 +81,92 @@ class TestExplicit:
         assert j["match"] and j["I"] == [0, 1]
 
 
-class TestPairingInput:
-    def test_rejects_non_root(self):
+class TestWIndependence:
+    def test_every_base_root_against_direct_evaluation(self):
+        # An oracle apart from the generic-root check: at every root w of f
+        # in the base field, evaluate g_P(D_Q)/g_Q(D) directly.
+        checked = 0
+        for F, g in ((F11, 2), (PrimeField(29), 3)):
+            n = 2 * g + 1
+            m1 = F.neg(F.one)
+            for t in nice_pairs_coprime(F, g):
+                cert = _family_cert(F, g, t.I)
+                e = weil_explicit(F, g, cert)
+                v1, v2 = cert.v_polys()
+                num_p = F.sub(v2(m1), v1(m1))
+                num_q = F.sub(v1(F.zero), v2(F.zero))
+                e2 = F.div(F.mul(num_p, num_p), F.mul(num_q, num_q))
+                assert F.pow_el(e2, g + 1) == e
+                f = cert.curve_poly()
+                for w in F.elements():
+                    if f(w) != F.zero:
+                        continue
+                    v2w = v2(w)
+                    g_p = F.neg(F.div(F.mul(num_p, num_p),
+                                      F.pow_el(F.add(F.one, w), n)))
+                    g_q = F.div(F.mul(num_q, num_q), F.mul(v2w, v2w))
+                    assert F.div(g_p, g_q) == e2
+                    checked += 1
+        assert checked >= 10
+
+    def test_rejects_corrupted_certificate(self):
         cert = _family_cert(F11, 2, (0, 1))
-        f = cert.curve_poly()
-        w = next(a for a in F11.elements() if f(a) != F11.zero)
-        with pytest.raises(ValueError):
-            PairingInput(2, cert, w)
+        bad = copy.copy(cert)  # u2 + 1, past PairCert.__post_init__
+        object.__setattr__(bad, "u2", cert.u2 + Poly.const(F11, F11.one))
+        with pytest.raises(CertError, match="vanishes at a root of f"):
+            weil_explicit(F11, 2, bad)
 
+    def test_rejects_other_abscissas(self):
+        # x -> -x takes the (0, -1) certificate to a valid one at (0, 1),
+        # where f = (x-1)^5 + v2^2 and the (1+w)^5 formula does not apply.
+        cert = _family_cert(F11, 2, (0, 1))
+        m1 = F11.neg(F11.one)
+        moved = PairCert(2, F11.zero, F11.one, cert.u1.scale_arg(m1),
+                         -cert.u2.scale_arg(m1))
+        with pytest.raises(CertError, match="fails mod f"):
+            weil_explicit(F11, 2, moved)
 
-class TestRootField:
-    def test_base_roots_found(self):
-        x = Poly.x(F11)
-        f = (x - Poly.const(F11, 3)) * (x - Poly.const(F11, 7))
-        K, lift, roots = root_field(F11, f)
-        assert K == F11 and roots == [3, 7] and lift(5) == 5
-
-    def test_prime_base_extends(self):
-        x = Poly.x(F11)
-        f = x * x + Poly.const(F11, 1)  # irreducible: -1 is a non-residue
-        K, lift, roots = root_field(F11, f)
-        assert isinstance(K, ExtField) and K.order == 121
-        for w in roots:
-            assert K.add(K.mul(w, w), K.one) == K.zero
-        # lift is a ring homomorphism on a sample
-        for a in (2, 5, 9):
-            for b in (3, 4):
-                assert K.mul(lift(a), lift(b)) == lift(F11.mul(a, b))
-                assert K.add(lift(a), lift(b)) == lift(F11.add(a, b))
-
-    def test_ext_base_extends(self):
-        E = ExtField(3, 2)
-        x = Poly.x(E)
-        # find an irreducible quadratic over GF(9) by scanning constants
-        f = None
-        for i in range(E.order):
-            c = E.from_index(i)
-            cand = x * x + Poly.const(E, c)
-            if all(E.add(E.mul(a, a), c) != E.zero for a in E.elements()):
-                f = cand
+    def test_no_base_root_matches_closed(self):
+        F = ExtField(11, 3)
+        for t in nice_pairs_coprime(F, 3):
+            cert = _family_cert(F, 3, t.I)
+            f = cert.curve_poly()
+            if all(f(a) != F.zero for a in F.elements()):
                 break
-        assert f is not None
-        K, lift, roots = root_field(E, f)
-        assert K.order == 81 and len(roots) == 2
-        fK = Poly(K, [lift(c) for c in f.coeffs])
-        for w in roots:
-            assert fK(w) == K.zero
-        for i in (2, 5, 7):
-            for j in (3, 8):
-                a, b = E.from_index(i), E.from_index(j)
-                assert K.mul(lift(a), lift(b)) == lift(E.mul(a, b))
-                assert K.add(lift(a), lift(b)) == lift(E.add(a, b))
+        else:
+            raise AssertionError("every GF(11^3) family has a base root")
+        assert weil_explicit(F, 3, cert) == weil_closed(F, 3, t.I)
+
+    def test_checks_survive_optimize(self):
+        # python -O strips assert statements; the typed raises must remain.
+        src = textwrap.dedent("""
+            import copy, sys
+            from hyptorsion.families import find_good_mu, nice_pairs_coprime
+            from hyptorsion.fields import PrimeField
+            from hyptorsion.pairing import weil_explicit
+            from hyptorsion.polyring import Poly
+            if __debug__:
+                sys.exit("asserts are live; run under python -O")
+            for p, g, I in ((11, 2, (0, 1)), (29, 3, (0, 1, 2)),
+                            (29, 3, (1, 2, 4))):
+                F = PrimeField(p)
+                t = next(t for t in nice_pairs_coprime(F, g) if t.I == I)
+                _, cert, _ = find_good_mu(F, g, t)
+                bad = copy.copy(cert)
+                object.__setattr__(bad, "u2", cert.u2 + Poly.const(F, F.one))
+                try:
+                    weil_explicit(F, g, bad)
+                    print("accepted")
+                except Exception as exc:
+                    print(type(exc).__name__, exc)
+        """)
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [os.path.dirname(os.path.dirname(hyptorsion.__file__)),
+             os.environ.get("PYTHONPATH", "")]))
+        out = subprocess.run([sys.executable, "-O", "-c", src], env=env,
+                             capture_output=True, text=True, check=True).stdout
+        assert out.splitlines() == [
+            "CertError (1+w)^{2g+1} or v2(w) vanishes at a root of f",
+            "CertError e is not a square root of e2",
+            "CertError degenerate pairing numerator",
+        ]
