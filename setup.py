@@ -1,10 +1,11 @@
-"""Build script: compiles the GF(p) kernel extension when Cython and a C
-compiler are available, and falls back to the pure-Python kernels otherwise.
-The installed package works identically either way (see hyptorsion.kernels)."""
+"""Build script: compiles the GF(p) kernel extension from _kernel.c, the C
+that Cython generated from _kernel.pyx, when a C compiler is available, and
+falls back to the pure-Python kernels otherwise.  The installed package works
+identically either way (see hyptorsion.kernels)."""
 
 import os
 
-from setuptools import setup
+from setuptools import Extension, setup
 from setuptools.command.build_ext import build_ext
 
 
@@ -26,14 +27,8 @@ class optional_build_ext(build_ext):
 
 ext_modules = []
 if not os.environ.get("HYPTORSION_PURE"):
-    try:
-        from Cython.Build import cythonize
-
-        ext_modules = cythonize(
-            ["src/hyptorsion/_kernel.pyx"],
-            compiler_directives={"language_level": 3},
-        )
-    except ImportError:
-        pass
+    # Regenerate after editing _kernel.pyx: cython -3 src/hyptorsion/_kernel.pyx
+    # (tests/test_polyring.py fails while the two differ).
+    ext_modules = [Extension("hyptorsion._kernel", ["src/hyptorsion/_kernel.c"])]
 
 setup(ext_modules=ext_modules, cmdclass={"build_ext": optional_build_ext})

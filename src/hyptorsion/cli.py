@@ -3,7 +3,8 @@
 Polynomials are accepted either as JSON coefficient arrays (ascending) or in
 a restricted human syntax like "x^5+(x+1)^2"; fields as "Q", "GF:p" or
 "GF:p,m".  Every command prints a CommandResult object
-{"status": ..., "payload": ..., "provenance": ...} and exits 0 on success.
+{"status": ..., "payload": ..., "provenance": ..., "backend": ...} and exits 0
+on success; "backend" names the GF(p) kernels that ran ("compiled" or "pure").
 """
 
 from __future__ import annotations
@@ -18,11 +19,13 @@ from . import acceptance
 from .families import (char_templates, find_good_mu, nice_pairs_coprime,
                        rational_four_torsion, symmetry_classes)
 from .fields import (FieldError, InsufficientFieldError, Rationals, field_make)
-from .jacobian import AffinePoint, Curve, CurveError, embed, exact_order, points_with_x
+from .jacobian import AffinePoint, Curve, CurveError, embed, exact_order
+from .kernels import BACKEND
 from .numth import hyperelliptic_cert, hyperelliptic_scan, overq_filter
 from .pairing import weil_closed, weil_explicit, weil_result_json
 from .polyring import Poly
-from .torsion import CertError, PairCert, make_pair, make_single, verify_single
+from .torsion import (CertError, PairCert, make_pair, make_single,
+                      torsion_census, verify_single)
 
 
 class CliError(Exception):
@@ -257,14 +260,9 @@ def cmd_census(args):
     F = parse_field(f"GF:{args.p},{args.m}" if args.m > 1 else f"GF:{args.p}",
                     args.seed)
     F, C = load_curve(args, F)
-    found = []
-    for x0 in F.elements():
-        for pt in points_with_x(C, x0):
-            if exact_order(C, embed(C, pt), args.n) == args.n:
-                found.append(pt)
-    found.sort(key=lambda P: (F.to_index(P.x), F.to_index(P.y)))
+    found = torsion_census(C, args.n)
     return {"n": args.n, "count": len(found),
-            "points": [point_json(F, P) for P in found]}, "torsion-census"
+            "points": [point_json(F, P) for P, _ in found]}, "torsion-census"
 
 
 def cmd_weil(args):
@@ -406,6 +404,7 @@ def main(argv=None):
         result = {"status": "error", "code": type(exc).__name__,
                   "message": str(exc), **extra}
         code = 1
+    result["backend"] = BACKEND
     text = json.dumps(result, indent=2)
     if getattr(args, "json_out", None):
         with open(args.json_out, "w") as fh:

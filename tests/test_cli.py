@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+import hyptorsion
 from hyptorsion import cli
 from hyptorsion.fields import PrimeField, Rationals
 from hyptorsion.polyring import Poly
@@ -121,6 +122,13 @@ class TestCommands:
         assert code == 1
         assert out["extension_degree"] == 2
 
+    def test_envelope_names_backend(self, capsys):
+        for argv in (["hyperelliptic", "--max", "20"],
+                     ["hyperelliptic", "--n", "4"]):
+            code, out = run(capsys, argv)
+            assert out["backend"] == hyptorsion.BACKEND
+        assert code == 1 and out["status"] == "error"
+
     def test_json_out(self, capsys, tmp_path):
         path = tmp_path / "out.json"
         code, out = run(capsys, [
@@ -135,10 +143,13 @@ class TestCommands:
         ["verify", "--curve", "missing.json", "--point", "(0,1)"],
         ["verify", "--curve", "no-field.json", "--point", "(0,1)"],
         ["find-mu", "--field", "GF:11", "--g", "2", "--index", "-1"],
+        ["census", "--p", "5", "--curve", "q-curve.json", "--n", "5"],
     ])
     def test_malformed_input_gives_error_envelope(self, capsys, tmp_path,
                                                   monkeypatch, argv):
         monkeypatch.chdir(tmp_path)
         (tmp_path / "no-field.json").write_text('{"g": 2, "f": [1]}')
+        (tmp_path / "q-curve.json").write_text(
+            '{"field": {"kind": "Q"}, "g": 2, "f": [1, 0, 0, 0, 0, 1]}')
         code, out = run(capsys, argv)
         assert code == 1 and out["status"] == "error"
