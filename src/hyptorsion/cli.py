@@ -158,10 +158,14 @@ def load_curve(args, F):
             with open(text) as fh:
                 obj = json.load(fh)
             spec, g, coeffs = obj["field"], obj["g"], obj["f"]
+            if not isinstance(spec, dict):
+                raise CliError("bad-curve", f"cannot read curve {text!r}: "
+                               f"field must be a JSON object, got {spec!r}")
+            F = field_make(spec, seed=args.seed)
+            f = Poly.from_json(F, coeffs)
         except (OSError, KeyError, TypeError) as exc:
             raise CliError("bad-curve", f"cannot read curve {text!r}: {exc!r}") from None
-        F = field_make(spec, seed=args.seed)
-        return F, Curve(F, g, Poly.from_json(F, coeffs))
+        return F, Curve(F, g, f)
     if args.g is None:
         raise CliError("bad-args", "--g is required with an inline curve polynomial")
     return F, Curve(F, args.g, parse_poly(F, text))

@@ -1,8 +1,12 @@
 """Exact field arithmetic: Q, GF(p) and GF(p^m) for odd primes p.
 
 Field contexts are immutable and shareable; elements are plain canonical
-values (Fraction for Q, int residues for GF(p), trimmed coefficient tuples
-for GF(p^m)), so equality of elements is equality of representations.
+values (Fraction for Q, ints for finite fields), so equality of elements is
+equality of representations.  A GF(p) element is its least nonnegative
+residue; a GF(p^m) element is its index sum(c_j p^j) over the coefficients
+c_j of its residue polynomial, so index order is canonical order.  Up to
+_TABLE_MAX elements, GF(p^m) arithmetic is exp/log/Zech-logarithm table
+lookup; above it, each operation reduces modulo the defining polynomial.
 """
 
 from __future__ import annotations
@@ -184,24 +188,23 @@ class Rationals(Field):
 
 
 class FiniteFieldMixin:
-    """Shared square-root / enumeration logic for GF(p) and GF(p^m)."""
+    """Shared square-root / enumeration logic for GF(p) and GF(p^m), whose
+    elements are the ints 0 .. order-1 in canonical order."""
 
     is_finite = True
 
     def elements(self):
         """All field elements in canonical order."""
-        for i in range(self.order):
-            yield self.from_index(i)
+        return range(self.order)
 
     def from_index(self, i):
-        raise NotImplementedError
+        return i
 
     def to_index(self, a):
-        raise NotImplementedError
+        return a
 
     def canonical_min(self, a):
-        b = self.neg(a)
-        return a if self.to_index(a) <= self.to_index(b) else b
+        return min(a, self.neg(a))
 
     def is_square(self, a):
         if a == self.zero:
@@ -296,12 +299,6 @@ class PrimeField(FiniteFieldMixin, Field):
             return pow(self.inv(a), -e, self.p)
         return pow(a, e, self.p)
 
-    def from_index(self, i):
-        return i
-
-    def to_index(self, a):
-        return a
-
     def elem_to_json(self, a):
         return a
 
@@ -349,8 +346,71 @@ def find_irreducible(p, m, seed=0):
             return coeffs
 
 
+# Fields of at most this many elements do their arithmetic by table lookup.
+_TABLE_MAX = 2 ** 13
+# Tables of at most this many fields are kept, the oldest dropped first.
+_TABLES_KEPT = 16
+_TABLES = {}
+
+
+def _digits(i, p):
+    """Ascending base-p digits of an index: the coefficients of its element."""
+    out = []
+    while i:
+        i, c = divmod(i, p)
+        out.append(c)
+    return out
+
+
+def _index(coeffs, p):
+    acc = 0
+    for c in reversed(coeffs):
+        acc = acc * p + c
+    return acc
+
+
+def _tables(p, modulus, k):
+    """(exp, log, zech, neg) for GF(p)[x]/(modulus), built on first use.
+
+    With g the least-index generator of the unit group and n = q - 1:
+    exp[i] = g^i for 0 <= i < 2n, log[a] = i with g^i = a for a != 0,
+    zech[i] = log(1 + g^i) (None where 1 + g^i = 0), neg[a] = -a.
+    """
+    key = (p, modulus)
+    tabs = _TABLES.get(key)
+    if tabs is None:
+        if len(_TABLES) >= _TABLES_KEPT:
+            del _TABLES[next(iter(_TABLES))]
+        tabs = _TABLES[key] = _build_tables(p, list(modulus), k)
+    return tabs
+
+
+def _build_tables(p, mod, k):
+    q = p ** (len(mod) - 1)
+    n = q - 1
+    cofactors = [n // r for r in _prime_factors(n)]
+    for gen in range(2, q):
+        g = _digits(gen, p)
+        if all(k.ppowmod(g, e, mod, p) != [1] for e in cofactors):
+            break
+    exp, acc = [1], [1]
+    for _ in range(n - 1):
+        acc = k.pmulmod(acc, g, mod, p)
+        exp.append(_index(acc, p))
+    log = [None] * q
+    for i, a in enumerate(exp):
+        log[a] = i
+    # 1 + a adds 1 to the constant coefficient of a, its lowest digit.
+    zech = tuple(log[a + 1 if a % p != p - 1 else a + 1 - p] for a in exp)
+    exp += exp
+    half = n // 2       # g^half = -1
+    neg = (0,) + tuple(exp[i + half] for i in log[1:])
+    return tuple(exp), tuple(log), zech, neg
+
+
 class ExtField(FiniteFieldMixin, Field):
-    """GF(p^m); elements are trimmed ascending coefficient tuples mod p."""
+    """GF(p^m); an element is the index sum(c_j p^j) of its residue
+    polynomial sum(c_j x^j) modulo the defining polynomial."""
 
     def __init__(self, p, m, modulus=None, seed=0):
         if p == 2:
@@ -373,54 +433,82 @@ class ExtField(FiniteFieldMixin, Field):
             raise FieldError("modulus is reducible over GF(p)")
         self.modulus = tuple(modulus)
         self._mod_list = list(modulus)
-        self.zero = ()
-        self.one = (1,)
+        self.zero = 0
+        self.one = 1
+        # Without tables (log is None) every operation goes index -> digit
+        # list -> kernel -> index.
+        self._exp = self._log = self._zech = self._neg = None
+        if self.order <= _TABLE_MAX:
+            self._exp, self._log, self._zech, self._neg = _tables(
+                p, self.modulus, self._k)
 
     def coerce(self, n):
-        n %= self.p
-        return (n,) if n else ()
+        return n % self.p
 
     def add(self, a, b):
-        return tuple(self._k.padd(list(a), list(b), self.p))
+        if not a:
+            return b
+        if not b:
+            return a
+        log = self._log
+        if log is None:
+            p = self.p
+            return _index(self._k.padd(_digits(a, p), _digits(b, p), p), p)
+        # g^i + g^j = g^(i + zech[j - i]); a negative index into zech wraps
+        # modulo q - 1 as the exponent does.
+        i = log[a]
+        z = self._zech[log[b] - i]
+        return 0 if z is None else self._exp[i + z]
 
     def sub(self, a, b):
-        return tuple(self._k.psub(list(a), list(b), self.p))
+        if self._log is None:
+            p = self.p
+            return _index(self._k.psub(_digits(a, p), _digits(b, p), p), p)
+        return self.add(a, self._neg[b])
 
     def mul(self, a, b):
-        return tuple(self._k.pmulmod(list(a), list(b), self._mod_list, self.p))
+        if not a or not b:
+            return 0
+        log = self._log
+        if log is None:
+            p = self.p
+            return _index(self._k.pmulmod(_digits(a, p), _digits(b, p),
+                                          self._mod_list, p), p)
+        return self._exp[log[a] + log[b]]
 
     def neg(self, a):
-        return tuple(self._k.pneg(list(a), self.p))
+        if self._neg is None:
+            p = self.p
+            return _index(self._k.pneg(_digits(a, p), p), p)
+        return self._neg[a]
 
     def inv(self, a):
         if not a:
             raise ZeroDivisionError("inverse of 0")
-        return tuple(self._k.pinvmod(list(a), self._mod_list, self.p))
+        log = self._log
+        if log is None:
+            p = self.p
+            return _index(self._k.pinvmod(_digits(a, p), self._mod_list, p), p)
+        return self._exp[self.order - 1 - log[a]]
 
     def pow_el(self, a, e):
         if e < 0:
             a, e = self.inv(a), -e
-        return tuple(self._k.ppowmod(list(a), e, self._mod_list, self.p))
-
-    def from_index(self, i):
-        digits = []
-        while i:
-            digits.append(i % self.p)
-            i //= self.p
-        return tuple(digits)
-
-    def to_index(self, a):
-        acc = 0
-        for c in reversed(a):
-            acc = acc * self.p + c
-        return acc
+        log = self._log
+        if log is None:
+            p = self.p
+            return _index(self._k.ppowmod(_digits(a, p), e, self._mod_list, p), p)
+        if not a:
+            return 0 if e else 1
+        return self._exp[log[a] * e % (self.order - 1)]
 
     def embed(self, a):
         """Constant embedding of a GF(p) residue into this field."""
         return self.coerce(a)
 
     def elem_to_json(self, a):
-        return list(a) + [0] * (self.m - len(a))
+        coeffs = _digits(a, self.p)
+        return coeffs + [0] * (self.m - len(coeffs))
 
     def elem_from_json(self, obj):
         coeffs = [int(c) % self.p for c in obj]
@@ -428,7 +516,7 @@ class ExtField(FiniteFieldMixin, Field):
             coeffs.pop()
         if len(coeffs) > self.m:
             raise ValueError("element coefficient array longer than degree")
-        return tuple(coeffs)
+        return _index(coeffs, self.p)
 
     def to_json(self):
         return {"kind": "GF", "p": self.p, "m": self.m, "modulus": list(self.modulus)}

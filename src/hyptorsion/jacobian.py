@@ -168,7 +168,8 @@ def _reduce(C: Curve, u: Poly, v: Poly) -> MumfordDivisor:
         u = ((C.f - v * v) // u).monic()
         v = (-v) % u if u.degree > 0 else Poly.zero(C.ctx)
         steps += 1
-        assert steps <= bound, "reduction failed to terminate"
+        if steps > bound:
+            raise CurveError("reduction failed to terminate")
     return MumfordDivisor(C, u, v, _checked=True)
 
 

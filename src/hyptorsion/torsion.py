@@ -280,8 +280,10 @@ def normalize_enhanced(C: Curve, P: AffinePoint, Q: AffinePoint):
     iso = IsoMap(lam, a)
     P1 = iso.apply_point(ctx, C.g, P)
     Q1 = iso.apply_point(ctx, C.g, Q)
-    assert P1.x == ctx.zero and Q1.x == ctx.neg(ctx.one)
-    assert C1.contains(P1.x, P1.y) and C1.contains(Q1.x, Q1.y)
+    if P1.x != ctx.zero or Q1.x != ctx.neg(ctx.one):
+        raise CertError("normalized abscissas are not 0 and -1")
+    if not (C1.contains(P1.x, P1.y) and C1.contains(Q1.x, Q1.y)):
+        raise CertError("normalized points are not on the normalized curve")
     if verify_single(C1, P1) is None or verify_single(C1, Q1) is None:
         raise CertError("normalized points lost the order-(2g+1) certificate")
     return EnhancedCurve(C1, P1, Q1), iso

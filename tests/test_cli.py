@@ -144,12 +144,24 @@ class TestCommands:
         ["verify", "--curve", "no-field.json", "--point", "(0,1)"],
         ["find-mu", "--field", "GF:11", "--g", "2", "--index", "-1"],
         ["census", "--p", "5", "--curve", "q-curve.json", "--n", "5"],
+        ["verify", "--curve", "string-field.json", "--point", "(0,1)"],
+        ["verify", "--curve", "no-prime.json", "--point", "(0,1)"],
+        ["verify", "--curve", "null-coeff.json", "--point", "(0,1)"],
     ])
     def test_malformed_input_gives_error_envelope(self, capsys, tmp_path,
                                                   monkeypatch, argv):
         monkeypatch.chdir(tmp_path)
-        (tmp_path / "no-field.json").write_text('{"g": 2, "f": [1]}')
-        (tmp_path / "q-curve.json").write_text(
-            '{"field": {"kind": "Q"}, "g": 2, "f": [1, 0, 0, 0, 0, 1]}')
+        for name, text in (
+                ("no-field.json", '{"g": 2, "f": [1]}'),
+                ("q-curve.json",
+                 '{"field": {"kind": "Q"}, "g": 2, "f": [1, 0, 0, 0, 0, 1]}'),
+                ("string-field.json",
+                 '{"field": "GF:11", "g": 2, "f": [1, 0, 0, 0, 0, 1]}'),
+                ("no-prime.json",
+                 '{"field": {"kind": "GF"}, "g": 2, "f": [1, 0, 0, 0, 0, 1]}'),
+                ("null-coeff.json",
+                 '{"field": {"kind": "GF", "p": 11}, "g": 2,'
+                 ' "f": [null, 0, 0, 0, 0, 1]}')):
+            (tmp_path / name).write_text(text)
         code, out = run(capsys, argv)
         assert code == 1 and out["status"] == "error"

@@ -1,7 +1,10 @@
+import json
+import random
 from fractions import Fraction
 
 import pytest
 
+from hyptorsion import fields
 from hyptorsion.fields import (ExtField, FieldError, InsufficientFieldError,
                                PrimeField, Rationals, field_make,
                                find_irreducible, is_prime, nth_roots_of_unity)
@@ -102,6 +105,76 @@ class TestExtField:
             for b in range(7):
                 assert F.add(F.embed(a), F.embed(b)) == F.embed((a + b) % 7)
                 assert F.mul(F.embed(a), F.embed(b)) == F.embed(a * b % 7)
+
+
+class TestTableField:
+    """Exp/log/Zech tables against the kernel path on the same field."""
+
+    @staticmethod
+    def _twins(p, m, monkeypatch):
+        F = ExtField(p, m)
+        with monkeypatch.context() as mp:
+            mp.setattr(fields, "_TABLE_MAX", 0)
+            K = ExtField(p, m, modulus=F.modulus)
+        assert F._log is not None and K._log is None
+        return F, K
+
+    @staticmethod
+    def _agree(F, K, pairs):
+        q = F.order
+        for a in sorted({a for pair in pairs for a in pair}):
+            for name in ("neg", "sqrt", "canonical_min"):
+                assert getattr(F, name)(a) == getattr(K, name)(a), (name, a)
+            if a:
+                assert F.inv(a) == K.inv(a), a
+            for e in (0, 1, 2, 5, (q - 1) // 2, q - 1, q, -1, -7):
+                if a or e >= 0:
+                    assert F.pow_el(a, e) == K.pow_el(a, e), (a, e)
+        for a, b in pairs:
+            for name in ("add", "sub", "mul"):
+                assert getattr(F, name)(a, b) == getattr(K, name)(a, b), (name, a, b)
+
+    @pytest.mark.parametrize("p, m", [(3, 4), (5, 3)])
+    def test_every_pair(self, p, m, monkeypatch):
+        F, K = self._twins(p, m, monkeypatch)
+        self._agree(F, K, [(a, b) for a in F.elements() for b in F.elements()])
+
+    @pytest.mark.parametrize("p, m", [(29, 2), (11, 3)])
+    def test_seeded_pairs(self, p, m, monkeypatch):
+        F, K = self._twins(p, m, monkeypatch)
+        rng = random.Random(f"{p}^{m}")
+        pairs = [(rng.randrange(F.order), rng.randrange(F.order)) for _ in range(2000)]
+        self._agree(F, K, pairs + [(0, 0), (1, F.neg(1)), (5, 0), (0, 5)])
+
+    def test_zero_has_no_inverse(self, monkeypatch):
+        for F in self._twins(3, 4, monkeypatch):
+            with pytest.raises(ZeroDivisionError):
+                F.inv(F.zero)
+            with pytest.raises(ZeroDivisionError):
+                F.pow_el(F.zero, -1)
+
+    def test_above_table_limit(self):
+        F = ExtField(97, 2)
+        assert F.order > fields._TABLE_MAX
+        assert F.elem_to_json(3 + 5 * 97) == [3, 5]
+        rng = random.Random(97)
+        for _ in range(30):
+            a = rng.randrange(1, F.order)
+            n = F.multiplicative_order(a)
+            assert (F.order - 1) % n == 0 and F.pow_el(a, n) == F.one
+            assert all(F.pow_el(a, n // r) != F.one for r in fields._prime_factors(n))
+            s = F.sqrt(F.mul(a, a))
+            assert s in (a, F.neg(a)) and s == F.canonical_min(s)
+            assert F.mul(a, F.inv(a)) == F.one
+            assert F.elem_from_json(json.loads(json.dumps(F.elem_to_json(a)))) == a
+
+    def test_table_cache_is_bounded(self, monkeypatch):
+        monkeypatch.setattr(fields, "_TABLES", {})
+        monkeypatch.setattr(fields, "_TABLES_KEPT", 2)
+        moduli = [(1, 0, 1), (2, 1, 1), (2, 2, 1)]   # the irreducible x^2 + bx + c
+        for modulus in moduli:
+            ExtField(3, 2, modulus=modulus)
+        assert list(fields._TABLES) == [(3, m) for m in moduli[1:]]
 
 
 def test_find_irreducible_deterministic():

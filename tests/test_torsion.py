@@ -1,8 +1,13 @@
 import itertools
+import os
 import random
+import subprocess
+import sys
+import textwrap
 
 import pytest
 
+import hyptorsion
 from hyptorsion.fields import (ExtField, InsufficientFieldError, PrimeField,
                                Rationals)
 from hyptorsion.jacobian import (Curve, NotSquarefreeError, embed, exact_order,
@@ -183,6 +188,41 @@ class TestNormalize:
             if got:
                 return
         pytest.skip("no witness found in range")
+
+    def test_checks_survive_optimize(self):
+        # python -O strips assert statements; the typed raises must remain.
+        src = textwrap.dedent("""
+            import sys
+            from hyptorsion import torsion
+            from hyptorsion.families import find_good_mu, nice_pairs_coprime
+            from hyptorsion.fields import PrimeField
+            from hyptorsion.jacobian import AffinePoint
+            if __debug__:
+                sys.exit("asserts are live; run under python -O")
+            F = PrimeField(11)
+            t = next(t for t in nice_pairs_coprime(F, 2) if t.I == (0, 1))
+            _, _, enh = find_good_mu(F, 2, t)
+            apply_point = torsion.IsoMap.apply_point
+            for dx, dy in ((1, 0), (0, 1)):
+                def wrong(self, ctx, g, P, dx=dx, dy=dy):
+                    P1 = apply_point(self, ctx, g, P)
+                    return AffinePoint(ctx.add(P1.x, dx), ctx.add(P1.y, dy))
+                torsion.IsoMap.apply_point = wrong
+                try:
+                    torsion.normalize_enhanced(enh.C, enh.P, enh.Q)
+                    print("accepted")
+                except Exception as exc:
+                    print(type(exc).__name__, exc)
+        """)
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [os.path.dirname(os.path.dirname(hyptorsion.__file__)),
+             os.environ.get("PYTHONPATH", "")]))
+        out = subprocess.run([sys.executable, "-O", "-c", src], env=env,
+                             capture_output=True, text=True, check=True).stdout
+        assert out.splitlines() == [
+            "CertError normalized abscissas are not 0 and -1",
+            "CertError normalized points are not on the normalized curve",
+        ]
 
 
 class TestCensus:
