@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 import random
+import sys
 import time
 
 from .families import (char_templates, find_good_mu, nice_pairs_coprime,
@@ -32,7 +33,9 @@ def criterion_1_examples():
     for p, vcoeffs in ((11, [1]), (5, [1, 1])):
         F = PrimeField(p)
         C, P, cert = make_single(F, 2, F.zero, Poly.from_ints(F, vcoeffs))
-        assert P.x == 0 and P.y == 1
+        if (P.x, P.y) != (0, 1):
+            raise AssertionError(
+                f"GF({p}) example point is ({P.x}, {P.y}), not (0, 1)")
         cert_back = verify_single(C, P)
         oracle = exact_order(C, embed(C, P), 5)
         oracle_neg = exact_order(C, neg(C, embed(C, P)), 5)
@@ -45,7 +48,8 @@ def _census_curves(p, k, g, per_m=(8, 6, 4, 2)):
     """>= 20 constructed curves with an order-p^k point, censused over their
     own field GF(p^m), m <= 4; returns (curves censused, worst point count)."""
     n = p ** k
-    assert n == 2 * g + 1
+    if n != 2 * g + 1:
+        raise AssertionError(f"p^k = {n} is not 2g+1 = {2 * g + 1}")
     total, worst = 0, 0
     for m, want in zip(range(1, 5), per_m):
         F = PrimeField(p) if m == 1 else ExtField(p, m)
@@ -202,7 +206,9 @@ def _property_sqrt(rng):
                              for _ in range(rng.randrange(1, 9))])
             h = t * t
             root = poly_sqrt(h)
-            assert root is not None and root * root == h, (F, t.coeffs)
+            if root is None or root * root != h:
+                raise AssertionError(
+                    f"poly_sqrt fails over {F!r} on the square of {t.coeffs}")
 
 
 def _property_roundtrip(rng):
@@ -222,7 +228,8 @@ def _property_roundtrip(rng):
         except (CertError, CurveError):
             continue
         back = recover_pair(enh.C, enh.P, enh.Q)  # checks the Remark identities
-        assert back.u1 == cert.u1 and back.u2 == cert.u2
+        if back.u1 != cert.u1 or back.u2 != cert.u2:
+            raise AssertionError(f"pair round trip over {F!r} changes (u1, u2)")
         done += 1
 
 
@@ -244,11 +251,15 @@ def _property_cantor(rng):
 
         for _ in range(500):
             D1, D2, D3 = rand_div(), rand_div(), rand_div()
-            assert cantor_add(C, D1, D2) == cantor_add(C, D2, D1)
-            assert (cantor_add(C, cantor_add(C, D1, D2), D3)
-                    == cantor_add(C, D1, cantor_add(C, D2, D3)))
-            assert cantor_add(C, D1, neg(C, D1)).is_identity
-            assert cantor_add(C, D1, identity(C)) == D1
+            if cantor_add(C, D1, D2) != cantor_add(C, D2, D1):
+                raise AssertionError(f"Cantor addition is not commutative on {C!r}")
+            if (cantor_add(C, cantor_add(C, D1, D2), D3)
+                    != cantor_add(C, D1, cantor_add(C, D2, D3))):
+                raise AssertionError(f"Cantor addition is not associative on {C!r}")
+            if not cantor_add(C, D1, neg(C, D1)).is_identity:
+                raise AssertionError(f"D + (-D) is not the identity on {C!r}")
+            if cantor_add(C, D1, identity(C)) != D1:
+                raise AssertionError(f"D + 0 is not D on {C!r}")
 
 
 def _property_diff_power(rng):
@@ -267,7 +278,8 @@ def _property_diff_power(rng):
             a2 = F.coerce(rng.randrange(-20, 21))
         if a1 == a2:
             continue
-        assert is_squarefree(diff_power(F, a1, a2, n))
+        if not is_squarefree(diff_power(F, a1, a2, n)):
+            raise AssertionError(f"diff_power over {F!r} is not squarefree at n={n}")
         done += 1
 
 
@@ -315,5 +327,6 @@ def run_all(verbose=False):
             status = "PASS" if ok else "FAIL"
             if not ok and name in EXPECTED_FAIL:
                 status = "FAIL (expected)"
-            print(f"{status:>15}  {name}  [{secs:.2f}s]  {detail}")
+            print(f"{status:>15}  {name}  [{secs:.2f}s]  {detail}",
+                  file=sys.stderr)
     return results

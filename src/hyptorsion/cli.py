@@ -141,7 +141,7 @@ def parse_elem(ctx, text: str):
             return Fraction(text)
         except ZeroDivisionError:
             raise CliError("bad-elem", f"zero denominator in {text!r}") from None
-    return ctx.elem_from_json(int(text))
+    return ctx.coerce(int(text))
 
 
 def parse_point(ctx, text: str):
@@ -161,6 +161,9 @@ def load_curve(args, F):
             if not isinstance(spec, dict):
                 raise CliError("bad-curve", f"cannot read curve {text!r}: "
                                f"field must be a JSON object, got {spec!r}")
+            if not isinstance(g, int) or isinstance(g, bool):
+                raise CliError("bad-curve", f"cannot read curve {text!r}: "
+                               f"g must be a JSON integer, got {g!r}")
             F = field_make(spec, seed=args.seed)
             f = Poly.from_json(F, coeffs)
         except (OSError, KeyError, TypeError) as exc:

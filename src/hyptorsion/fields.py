@@ -323,7 +323,7 @@ def _is_irreducible(modulus, p, k):
     m = len(modulus) - 1
     if m <= 0:
         return False
-    x = [0, 1]
+    x = k.pdivmod([0, 1], modulus, p)[1]     # x mod f, not x when m = 1
     xq = k.ppowmod(x, p ** m, modulus, p)
     if k.psub(xq, x, p):
         return False

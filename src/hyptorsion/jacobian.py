@@ -174,7 +174,12 @@ def _reduce(C: Curve, u: Poly, v: Poly) -> MumfordDivisor:
 
 
 def cantor_add(C: Curve, D1: MumfordDivisor, D2: MumfordDivisor) -> MumfordDivisor:
-    """Reduced representative of the class D1 + D2 (composition + reduction)."""
+    """Reduced representative of the class D1 + D2 (composition + reduction).
+    An identity operand returns the other one, with no gcd run."""
+    if D1.is_identity:
+        return D2
+    if D2.is_identity:
+        return D1
     u1, v1, u2, v2 = D1.u, D1.v, D2.u, D2.v
     d1, e1, e2 = u1.xgcd(u2)
     d, c1, c2 = d1.xgcd(v1 + v2)
@@ -185,15 +190,19 @@ def cantor_add(C: Curve, D1: MumfordDivisor, D2: MumfordDivisor) -> MumfordDivis
 
 
 def scalar_mul(C: Curve, n: int, D: MumfordDivisor) -> MumfordDivisor:
+    """[n]D by the left-to-right binary ladder: start from D and, for each
+    bit of n below the top one, double and then add D on a 1 bit.  That is
+    bit_length(n) - 1 + popcount(n) - 1 compositions, none with the
+    identity and none past the last bit."""
     if n < 0:
         return scalar_mul(C, -n, neg(C, D))
-    result = identity(C)
-    base = D
-    while n:
-        if n & 1:
-            result = cantor_add(C, result, base)
-        base = cantor_add(C, base, base)
-        n >>= 1
+    if n == 0:
+        return identity(C)
+    result = D
+    for bit in bin(n)[3:]:
+        result = cantor_add(C, result, result)
+        if bit == "1":
+            result = cantor_add(C, result, D)
     return result
 
 

@@ -3,7 +3,7 @@ import json
 import pytest
 
 import hyptorsion
-from hyptorsion import cli
+from hyptorsion import acceptance, cli
 from hyptorsion.fields import PrimeField, Rationals
 from hyptorsion.polyring import Poly
 
@@ -136,6 +136,24 @@ class TestCommands:
         assert code == 0
         assert json.loads(path.read_text()) == out
 
+    def test_construct_single_integer_scalar_over_extension(self, capsys):
+        code, out = run(capsys, [
+            "construct-single", "--field", "GF:3,2", "--g", "1",
+            "--a", "1", "--v", "[[0,1],[1,0]]"])
+        assert code == 0
+        assert out["payload"]["point"] == {"x": [1, 0], "y": [1, 1]}
+
+    def test_selftest_stdout_is_one_envelope(self, capsys, monkeypatch):
+        monkeypatch.setattr(acceptance, "CRITERIA", acceptance.CRITERIA[:1])
+        code = cli.main(["selftest"])
+        captured = capsys.readouterr()
+        out = json.loads(captured.out)
+        assert code == 0 and out["status"] == "ok"
+        [record] = out["payload"]["criteria"]
+        assert record["name"] == "criterion-1-worked-examples"
+        assert record["status"] == "pass"
+        assert "PASS  criterion-1-worked-examples" in captured.err
+
     @pytest.mark.parametrize("argv", [
         ["verify", "--field", "Q", "--g", "2", "--curve", "x^5+1",
          "--point", "(1/0,1)"],
@@ -147,6 +165,10 @@ class TestCommands:
         ["verify", "--curve", "string-field.json", "--point", "(0,1)"],
         ["verify", "--curve", "no-prime.json", "--point", "(0,1)"],
         ["verify", "--curve", "null-coeff.json", "--point", "(0,1)"],
+        ["construct-single", "--field", "GF:3,2", "--g", "1", "--a", "1",
+         "--v", "[[1,0]]"],
+        ["verify", "--curve", "string-g.json", "--point", "(0,1)"],
+        ["verify", "--curve", "bool-g.json", "--point", "(0,1)"],
     ])
     def test_malformed_input_gives_error_envelope(self, capsys, tmp_path,
                                                   monkeypatch, argv):
@@ -161,7 +183,13 @@ class TestCommands:
                  '{"field": {"kind": "GF"}, "g": 2, "f": [1, 0, 0, 0, 0, 1]}'),
                 ("null-coeff.json",
                  '{"field": {"kind": "GF", "p": 11}, "g": 2,'
-                 ' "f": [null, 0, 0, 0, 0, 1]}')):
+                 ' "f": [null, 0, 0, 0, 0, 1]}'),
+                ("string-g.json",
+                 '{"field": {"kind": "GF", "p": 11}, "g": "2",'
+                 ' "f": [1, 0, 0, 0, 0, 1]}'),
+                ("bool-g.json",
+                 '{"field": {"kind": "GF", "p": 11}, "g": true,'
+                 ' "f": [1, 0, 1, 1]}')):
             (tmp_path / name).write_text(text)
         code, out = run(capsys, argv)
         assert code == 1 and out["status"] == "error"

@@ -75,6 +75,15 @@ class TestExtField:
         F = ExtField(3, 2)
         assert F.order == 9
 
+    def test_linear_modulus_is_irreducible(self):
+        for c in range(3):
+            F = ExtField(3, 1, modulus=[c, 1])
+            assert [F.mul(a, b) for a in (1, 2) for b in (1, 2)] == [1, 2, 2, 1]
+        with pytest.raises(FieldError):
+            ExtField(3, 2, modulus=[2, 0, 1])  # x^2 - 1 = (x - 1)(x + 1)
+        with pytest.raises(FieldError):
+            ExtField(5, 2, modulus=[6, 5, 1])  # x^2 + 1 has the roots 2, 3
+
     def test_arithmetic_and_inverse(self):
         F = ExtField(5, 3)
         for i in range(1, F.order):

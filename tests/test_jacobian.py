@@ -2,7 +2,8 @@ import random
 
 import pytest
 
-from hyptorsion.fields import PrimeField, Rationals
+from hyptorsion import jacobian
+from hyptorsion.fields import ExtField, PrimeField, Rationals
 from hyptorsion.jacobian import (AffinePoint, Curve, DegreeError,
                                  MumfordDivisor, NotMonicError,
                                  NotSquarefreeError, cantor_add, embed,
@@ -12,6 +13,22 @@ from hyptorsion.polyring import Poly
 
 F11 = PrimeField(11)
 C_X5_1 = Curve(F11, 2, Poly.from_ints(F11, [1, 0, 0, 0, 0, 1]))
+F81 = ExtField(3, 4)
+C_G4_F81 = Curve(F81, 4, Poly(F81, [2, 1] + [0] * 7 + [1]))  # x^9 + x + 2
+
+
+def _divisors(C, seed, count):
+    """A few random sums of at most g affine points of C."""
+    F = C.ctx
+    rng = random.Random(seed)
+    pts = [P for x0 in F.elements() for P in points_with_x(C, x0)]
+    out = []
+    for _ in range(count):
+        D = identity(C)
+        for _ in range(rng.randrange(1, C.g + 1)):
+            D = cantor_add(C, D, embed(C, pts[rng.randrange(len(pts))]))
+        out.append(D)
+    return out
 
 
 class TestCurve:
@@ -89,6 +106,43 @@ class TestGroupLaw:
             assert D.u.degree <= 2
 
 
+class TestScalarMul:
+    @pytest.mark.parametrize("C", [C_X5_1, C_G4_F81], ids=["x5+1/GF11", "g4/GF81"])
+    def test_matches_repeated_addition(self, C):
+        for D in _divisors(C, 5, 3):
+            multiples = {0: identity(C)}
+            for n in range(1, 41):
+                multiples[n] = cantor_add(C, multiples[n - 1], D)
+            for n in range(1, 16):
+                multiples[-n] = cantor_add(C, multiples[1 - n], neg(C, D))
+            for n, expected in multiples.items():
+                assert scalar_mul(C, n, D) == expected, n
+
+    def test_identity_operand_returns_the_other(self):
+        for C in (C_X5_1, C_G4_F81):
+            O = identity(C)
+            for D in _divisors(C, 7, 5) + [O]:
+                assert cantor_add(C, D, O) == D
+                assert cantor_add(C, O, D) == D
+
+    def test_composition_count(self, monkeypatch):
+        calls = []
+        add = jacobian.cantor_add
+
+        def counting(C, D1, D2):
+            calls.append(1)
+            return add(C, D1, D2)
+
+        monkeypatch.setattr(jacobian, "cantor_add", counting)
+        D = embed(C_X5_1, AffinePoint(0, 1))
+        for n in range(-40, 41):
+            del calls[:]
+            scalar_mul(C_X5_1, n, D)
+            m = abs(n)
+            expected = m.bit_length() - 1 + bin(m).count("1") - 1 if m else 0
+            assert len(calls) == expected, n
+
+
 def _elliptic_add(F, a4, a6, P, Q):
     """Textbook chord-tangent law on y^2 = x^3 + a4 x + a6; None is infinity."""
     if P is None:
@@ -126,3 +180,20 @@ class TestGenusOneCrossCheck:
             else:
                 assert got.u == Poly(F, [F.neg(expected[0]), F.one])
                 assert got.v == Poly(F, [expected[1]])
+
+    def test_scalar_mul_against_chord_tangent(self):
+        F = PrimeField(13)
+        a4, a6 = F.coerce(2), F.coerce(3)
+        C = Curve(F, 1, Poly.from_ints(F, [3, 2, 0, 1]))
+        for x0 in F.elements():
+            for P in points_with_x(C, x0):
+                D = embed(C, P)
+                expected = None
+                for n in range(1, 25):
+                    expected = _elliptic_add(F, a4, a6, expected, (P.x, P.y))
+                    got = scalar_mul(C, n, D)
+                    if expected is None:
+                        assert got.is_identity, n
+                    else:
+                        assert got.u == Poly(F, [F.neg(expected[0]), F.one]), n
+                        assert got.v == Poly(F, [expected[1]]), n
