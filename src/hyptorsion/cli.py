@@ -414,8 +414,14 @@ def main(argv=None):
     result["backend"] = BACKEND
     text = json.dumps(result, indent=2)
     if getattr(args, "json_out", None):
-        with open(args.json_out, "w") as fh:
-            fh.write(text + "\n")
+        try:
+            with open(args.json_out, "w") as fh:
+                fh.write(text + "\n")
+        except OSError as exc:
+            result = {"status": "error", "code": "bad-json-out",
+                      "message": f"cannot write {args.json_out!r}: {exc}",
+                      "backend": BACKEND}
+            text, code = json.dumps(result, indent=2), 1
     print(text)
     return code
 

@@ -269,7 +269,9 @@ def rational_four_torsion(g, partition: TotientPartition | None = None):
     w2 = Poly.const(F, F.one)
     for d in partition.S2:
         w2 = w2 * cyclotomic(d, F)
-    assert w1.degree == g and w2.degree == g
+    if w1.degree != g or w2.degree != g:
+        raise ValueError(f"partition factors have degrees {w1.degree}, "
+                         f"{w2.degree}; expected g = {g}")
     u1 = reverse_scale(w1.shift(F.one), F.one)
     u2 = reverse_scale(w2.shift(F.one), F.one)
     mu, cert, enh = find_good_mu(F, g, _FixedPair(u1, u2))

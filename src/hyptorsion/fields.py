@@ -125,6 +125,10 @@ class Field:
         raise NotImplementedError
 
 
+def _is_json_int(obj):
+    return isinstance(obj, int) and not isinstance(obj, bool)
+
+
 class Rationals(Field):
     char = 0
     is_finite = False
@@ -168,9 +172,7 @@ class Rationals(Field):
         return f"{a.numerator}/{a.denominator}"
 
     def elem_from_json(self, obj):
-        if isinstance(obj, str):
-            return Fraction(obj)
-        if isinstance(obj, int):
+        if isinstance(obj, str) or _is_json_int(obj):
             return Fraction(obj)
         raise ValueError(f"cannot parse rational from {obj!r}")
 
@@ -303,7 +305,10 @@ class PrimeField(FiniteFieldMixin, Field):
         return a
 
     def elem_from_json(self, obj):
-        return int(obj) % self.p
+        if not _is_json_int(obj):
+            raise ValueError(f"a GF({self.p}) element must be a JSON integer, "
+                             f"got {obj!r}")
+        return obj % self.p
 
     def to_json(self):
         return {"kind": "GF", "p": self.p}
@@ -511,12 +516,11 @@ class ExtField(FiniteFieldMixin, Field):
         return coeffs + [0] * (self.m - len(coeffs))
 
     def elem_from_json(self, obj):
-        coeffs = [int(c) % self.p for c in obj]
-        while coeffs and coeffs[-1] == 0:
-            coeffs.pop()
-        if len(coeffs) > self.m:
-            raise ValueError("element coefficient array longer than degree")
-        return _index(coeffs, self.p)
+        if not (isinstance(obj, list) and len(obj) <= self.m
+                and all(map(_is_json_int, obj))):
+            raise ValueError(f"a GF({self.p}^{self.m}) element must be a JSON "
+                             f"list of at most {self.m} integers, got {obj!r}")
+        return _index([c % self.p for c in obj], self.p)
 
     def to_json(self):
         return {"kind": "GF", "p": self.p, "m": self.m, "modulus": list(self.modulus)}

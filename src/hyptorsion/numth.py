@@ -133,7 +133,9 @@ def overq_filter(n):
         case = "iii"
     else:
         return FilterResult(True)
-    assert totient(n) > g, "filter case without its totient bound"
+    if totient(n) <= g:
+        raise ValueError(f"filter case {case} without its totient bound "
+                         f"for n={n}")
     return FilterResult(False, case)
 
 

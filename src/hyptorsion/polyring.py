@@ -462,12 +462,14 @@ def _zz_divmod_exact(a, b):
         c = r[i]
         if c == 0:
             continue
-        assert c % b[-1] == 0
+        if c % b[-1]:
+            raise ValueError("integer polynomial division is not exact")
         factor = c // b[-1]
         q[i - db] = factor
         for j in range(db + 1):
             r[i - db + j] -= factor * b[j]
-    assert not any(r)
+    if any(r):
+        raise ValueError("integer polynomial division leaves a remainder")
     return q
 
 

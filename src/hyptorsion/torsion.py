@@ -255,7 +255,8 @@ def decorations_of(C: Curve, P: AffinePoint, Q: AffinePoint):
     ]
     for dec in variants:
         v1, v2 = dec.cert.v_polys()
-        assert v1(a1) == dec.P.y and v2(a2) == dec.Q.y
+        if v1(a1) != dec.P.y or v2(a2) != dec.Q.y:
+            raise CertError("a decoration's v1(a1), v2(a2) miss its marked pair")
     return variants
 
 

@@ -8,15 +8,10 @@ criterion (route agreement, root-of-unity order, Weierstrass-point
 independence) are still checked and pass.
 """
 
-import os
-import subprocess
-import sys
-import textwrap
 import time
 
 import pytest
 
-import hyptorsion
 from hyptorsion import acceptance
 
 
@@ -39,14 +34,11 @@ def test_criterion(name, fn, capsys):
     assert ok, detail
 
 
-def test_cantor_checks_survive_optimize():
+def test_cantor_checks_survive_optimize(run_optimized):
     # python -O strips assert statements; criterion 8's group-law checks
     # must still fail on a broken Cantor addition.
-    src = textwrap.dedent("""
-        import sys
+    out = run_optimized("""
         from hyptorsion import acceptance, jacobian
-        if __debug__:
-            sys.exit("asserts are live; run under python -O")
         add = jacobian.cantor_add
         acceptance.CRITERIA = [c for c in acceptance.CRITERIA
                                if c[0] == "criterion-8-property-suites"]
@@ -58,12 +50,7 @@ def test_cantor_checks_survive_optimize():
             [(name, ok, detail, _)] = acceptance.run_all()
             print(name, ok, detail.split(" on ")[0])
     """)
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [os.path.dirname(os.path.dirname(hyptorsion.__file__)),
-         os.environ.get("PYTHONPATH", "")]))
-    out = subprocess.run([sys.executable, "-O", "-c", src], env=env,
-                         capture_output=True, text=True, check=True).stdout
-    assert out.splitlines() == [
+    assert out == [
         "criterion-8-property-suites False "
         "AssertionError: Cantor addition is not commutative",
         "criterion-8-property-suites False AssertionError: D + 0 is not D",

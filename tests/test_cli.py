@@ -1,6 +1,10 @@
+import contextlib
+import io
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import hyptorsion
 from hyptorsion import acceptance, cli
@@ -136,6 +140,13 @@ class TestCommands:
         assert code == 0
         assert json.loads(path.read_text()) == out
 
+    def test_unwritable_json_out_gives_error_envelope(self, capsys, tmp_path):
+        path = tmp_path / "missing" / "out.json"
+        code, out = run(capsys, [
+            "hyperelliptic", "--n", "5", "--json-out", str(path)])
+        assert code == 1 and out["status"] == "error"
+        assert out["code"] == "bad-json-out" and str(path) in out["message"]
+
     def test_construct_single_integer_scalar_over_extension(self, capsys):
         code, out = run(capsys, [
             "construct-single", "--field", "GF:3,2", "--g", "1",
@@ -169,6 +180,21 @@ class TestCommands:
          "--v", "[[1,0]]"],
         ["verify", "--curve", "string-g.json", "--point", "(0,1)"],
         ["verify", "--curve", "bool-g.json", "--point", "(0,1)"],
+        ["census", "--p", "3", "--g", "1", "--n", "3", "--curve", "[[1],1]"],
+        ["verify", "--field", "GF:11", "--g", "2", "--curve", "x^5+1",
+         "--point", "([0],1)"],
+        ["construct-single", "--field", "GF:5", "--g", "2", "--a", "[1,2]",
+         "--v", "x+1"],
+        ["weil", "--field", "GF:11", "--g", "2", "--I", "0,1", "--mu", "[1]"],
+        ["census", "--p", "3", "--g", "1", "--n", "3", "--curve", "[1.5,2,0,1]"],
+        ["census", "--p", "3", "--g", "1", "--n", "3", "--curve", "[true,2,0,1]"],
+        ["census", "--p", "3", "--g", "1", "--n", "3", "--curve", '["1",2,0,1]'],
+        ["census", "--p", "3", "--m", "2", "--g", "1", "--n", "3",
+         "--curve", "[[1.9,0],[2,0],[0,0],[1,0]]"],
+        ["census", "--p", "3", "--m", "2", "--g", "1", "--n", "3",
+         "--curve", '["10",[2,0],[0,0],[1,0]]'],
+        ["verify", "--field", "Q", "--g", "1", "--curve", "[true,0,0,1]",
+         "--point", "(0,1)"],
     ])
     def test_malformed_input_gives_error_envelope(self, capsys, tmp_path,
                                                   monkeypatch, argv):
@@ -193,3 +219,96 @@ class TestCommands:
             (tmp_path / name).write_text(text)
         code, out = run(capsys, argv)
         assert code == 1 and out["status"] == "error"
+
+
+# -- argv shapes -------------------------------------------------------------
+# Every flag value comes from a fixed pool, and the pools keep each call
+# small (p <= 13, m <= 3, g <= 3): no hyperelliptic --max, rational-g52 or
+# selftest.  Integer-typed flags get integers, so argparse accepts every argv.
+
+VALUES = st.sampled_from([
+    "0", "1", "-1", "2", "7", "-12", "1.5", "-0.25", "1e3", "true", "false",
+    "null", "abc", '"1"', '"10"', "", "[]", "[0]", "[1,2]", "[1,0,0,0,0,1]",
+    "[1.5,2,0,1]", "[true,2,0,1]", '["1",2,0,1]', "[[1]]", "[[1],1]",
+    "[[1,0],[2,0],[0,0],[1,0]]", "[[1.9,0]]", '["10",[2,0]]', "[[[1]]]",
+    "1/2", "-3/4", "1/0", "x", "x^9", "x^5+1", "x^3+2*x+1", "(x+1)^2",
+    "x^7+x+1", "2*x-3", "x^3-x+1", "x^", "(x+1", "x^5 + y", "x^-1",
+    "(0,1)", "(0, 1)", "([0],1)", "(1/2,1)", "(true,0)", "([1,0],[1,1])",
+    "0,1", "missing.json"])
+FIELDS = st.sampled_from([
+    "Q", "GF:3", "GF:5", "GF:7", "GF:11", "GF:13", "GF:3,2", "GF:3,3",
+    "GF:5,2", "GF:7,3", "GF:13,2", "GF:2", "GF:1", "GF:9", "GF:3,0", "GF(3)",
+    "abc"])
+GENERA = st.sampled_from(["-1", "0", "1", "2", "3"])
+PRIMES = ["-1", "0", "1", "2", "3", "4", "5", "7", "11", "13"]
+ORDERS = st.sampled_from(["-1", "0", "1", "2", "3", "5", "7", "9", "15"])
+# GF(p^m) with p^m up to 169: a census over GF(13^3) visits 2,197 abscissas
+CENSUS_FIELDS = st.sampled_from(
+    [(p, m) for p in PRIMES for m in ("-1", "0", "1", "2", "3")
+     if int(p) ** max(int(m), 1) <= 169])
+
+
+def flag(name, values):
+    # --name=value, since argparse reads a value such as "-3/4" as a flag
+    return values.map(lambda v: (f"{name}={v}",))
+
+
+def maybe(part):
+    return st.one_of(st.just(()), part)
+
+
+def switch(name):
+    return st.sampled_from([(), (name,)])
+
+
+CHAR_REGIME = [flag("--regime", st.sampled_from(["coprime", "char"])),
+               maybe(flag("--p", st.sampled_from(PRIMES))),
+               maybe(flag("--k", st.sampled_from(["-1", "0", "1"]))),
+               maybe(flag("--l", st.sampled_from(["-1", "0", "1", "2"]))),
+               switch("--all-admissible")]
+COMMANDS = {
+    "construct-single": [maybe(flag("--field", FIELDS)), flag("--g", GENERA),
+                         flag("--a", VALUES), flag("--v", VALUES)],
+    "verify": [maybe(flag("--field", FIELDS)), maybe(flag("--g", GENERA)),
+               flag("--curve", VALUES), flag("--point", VALUES),
+               switch("--oracle")],
+    "construct-pair": [maybe(flag("--field", FIELDS)), flag("--g", GENERA)]
+    + [flag(name, VALUES) for name in ("--a1", "--a2", "--u1", "--u2")],
+    "enumerate-families": [maybe(flag("--field", FIELDS)),
+                           flag("--g", GENERA)] + CHAR_REGIME,
+    "find-mu": [maybe(flag("--field", FIELDS)), flag("--g", GENERA),
+                maybe(flag("--index", st.sampled_from(["-1", "0", "1", "5"])))]
+    + CHAR_REGIME,
+    "hyperelliptic": [flag("--n", ORDERS)],
+    "census": [CENSUS_FIELDS.map(lambda pm: (f"--p={pm[0]}", f"--m={pm[1]}")),
+               maybe(flag("--g", GENERA)), flag("--curve", VALUES),
+               flag("--n", ORDERS)],
+    "weil": [maybe(flag("--field", FIELDS)), flag("--g", GENERA),
+             flag("--I", st.sampled_from(["", "0", "0,1", "1,2", "0,1,2",
+                                          "0,0", "5", "-1", "a", "0,"])),
+             maybe(flag("--mu", VALUES))],
+}
+COMMON = [maybe(flag("--seed", st.sampled_from(["-1", "0", "1", "2"]))),
+          maybe(flag("--json-out",
+                     st.sampled_from(["out.json", "missing/out.json"])))]
+ARGVS = st.sampled_from(sorted(COMMANDS)).flatmap(
+    lambda command: st.tuples(*COMMANDS[command], *COMMON).map(
+        lambda parts: [command] + [arg for part in parts for arg in part]))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(argv=ARGVS)
+def test_every_argv_prints_one_envelope(argv, tmp_path_factory):
+    stdout = io.StringIO()
+    with contextlib.chdir(tmp_path_factory.getbasetemp()), \
+            contextlib.redirect_stdout(stdout):
+        code = cli.main(argv)
+    out = json.loads(stdout.getvalue())
+    assert code in (0, 1)
+    if out["status"] == "ok":
+        assert set(out) == {"status", "payload", "provenance", "backend"}
+    else:
+        assert out["status"] == "error"
+        assert {"status", "code", "message", "backend"} <= set(out)
+        assert set(out) <= {"status", "code", "message", "backend",
+                            "extension_degree"}

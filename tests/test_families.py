@@ -125,6 +125,25 @@ class TestRationalFamilies:
         with pytest.raises(ValueError):
             rational_four_torsion(4)  # n = 9
 
+    def test_degree_check_survives_optimize(self, run_optimized):
+        out = run_optimized("""
+            from hyptorsion import families
+            from hyptorsion.polyring import Poly
+            cyclotomic = families.cyclotomic
+            families.cyclotomic = lambda d, F: Poly.x(F) * cyclotomic(d, F)
+
+            def scan(*args):
+                raise RuntimeError("the mu scan was reached")
+
+            families.find_good_mu = scan
+            try:
+                families.rational_four_torsion(52)
+            except Exception as exc:
+                print(type(exc).__name__, exc)
+        """)
+        assert out == ["ValueError partition factors have degrees 54, 57; "
+                       "expected g = 52"]
+
     def test_genus_52(self):
         C, points, cert, mu = rational_four_torsion(52)
         assert C.f.degree == 105 and C.f.is_monic

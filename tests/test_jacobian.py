@@ -143,6 +143,73 @@ class TestScalarMul:
             assert len(calls) == expected, n
 
 
+F13 = PrimeField(13)
+C_G1_F13 = Curve(F13, 1, Poly.from_ints(F13, [3, 2, 0, 1]))  # x^3 + 2x + 3
+
+
+def _up_to_frobenius_and_sign(C, pts):
+    """One point of each orbit of x -> x^p and y -> -y.  f has coefficients
+    in GF(p), so both maps are group automorphisms and keep every order."""
+    F = C.ctx
+    seen, reps = set(), []
+    for P in pts:
+        if (P.x, P.y) in seen:
+            continue
+        reps.append(P)
+        x, y = P.x, P.y
+        for _ in range(F.m):
+            seen |= {(x, y), (x, F.neg(y))}
+            x, y = F.pow_el(x, F.p), F.pow_el(y, F.p)
+    return reps
+
+
+def _order_up_to(C, D, limit):
+    """The least k <= limit with k D = 0 by repeated addition, else None."""
+    multiple = D
+    for k in range(1, limit + 1):
+        if multiple.is_identity:
+            return k
+        multiple = cantor_add(C, multiple, D)
+    return None
+
+
+class TestExactOrder:
+    @pytest.mark.parametrize("C", [C_G1_F13, C_X5_1, C_G4_F81],
+                             ids=["g1/GF13", "x5+1/GF11", "g4/GF81"])
+    def test_matches_brute_force(self, C):
+        pts = [P for x0 in C.ctx.elements() for P in points_with_x(C, x0)]
+        rng = random.Random(17)
+        sums = [cantor_add(C, embed(C, rng.choice(pts)), embed(C, rng.choice(pts)))
+                for _ in range(10)]
+        if C is C_G4_F81:
+            # 60 exact_order calls on each of 153 points would be the slowest
+            # unit test; one point of each of the 24 orbits keeps every order
+            pts = _up_to_frobenius_and_sign(C, pts)
+        for D in [embed(C, P) for P in pts] + sums + [identity(C)]:
+            order = _order_up_to(C, D, 60)
+            for n in range(1, 61):
+                expected = order if order and n % order == 0 else None
+                assert exact_order(C, D, n) == expected, (D, n)
+
+    def test_kill_test_composition_count(self, monkeypatch):
+        calls = []
+        add = jacobian.cantor_add
+
+        def counting(C, D1, D2):
+            calls.append(1)
+            return add(C, D1, D2)
+
+        monkeypatch.setattr(jacobian, "cantor_add", counting)
+        for D in _divisors(C_X5_1, 9, 3):
+            for m in range(1, 80):
+                del calls[:]
+                jacobian._kills(C_X5_1, m, D)
+                k = m // 2
+                expected = (k.bit_length() - 1 + bin(k).count("1") - 1 + m % 2
+                            if m >= 2 else 1)
+                assert len(calls) == expected, m
+
+
 def _elliptic_add(F, a4, a6, P, Q):
     """Textbook chord-tangent law on y^2 = x^3 + a4 x + a6; None is infinity."""
     if P is None:

@@ -18,6 +18,18 @@ def test_totient_divisor_identity():
         assert sum(totient(d) for d in divisors(n) if d > 1) == n - 1
 
 
+def test_totient_bound_check_survives_optimize(run_optimized):
+    out = run_optimized("""
+        from hyptorsion import numth
+        numth.totient = lambda n: 0
+        try:
+            print(numth.overq_filter(9))
+        except Exception as exc:
+            print(type(exc).__name__, exc)
+    """)
+    assert out == ["ValueError filter case i without its totient bound for n=9"]
+
+
 class TestCert:
     def test_known_certs(self):
         c = hyperelliptic_cert(105)

@@ -203,6 +203,20 @@ class TestCyclotomic:
         for n in (3, 5, 7, 105, 165):
             assert cyclotomic(n).degree == totient(n)
 
+    def test_exact_division_checks_survive_optimize(self, run_optimized):
+        out = run_optimized("""
+            from hyptorsion.polyring import _zz_divmod_exact
+            for a, b in (([0, 3], [1, 2]), ([1, 0, 1], [1, 1])):
+                try:
+                    print(_zz_divmod_exact(a, b))
+                except Exception as exc:
+                    print(type(exc).__name__, exc)
+        """)
+        assert out == [
+            "ValueError integer polynomial division is not exact",
+            "ValueError integer polynomial division leaves a remainder",
+        ]
+
 
 class TestDiffPower:
     def test_example(self):

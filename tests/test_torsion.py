@@ -1,13 +1,8 @@
 import itertools
-import os
 import random
-import subprocess
-import sys
-import textwrap
 
 import pytest
 
-import hyptorsion
 from hyptorsion.fields import (ExtField, InsufficientFieldError, PrimeField,
                                Rationals)
 from hyptorsion.jacobian import (Curve, NotSquarefreeError, embed, exact_order,
@@ -125,6 +120,24 @@ class TestPairs:
 
 
 class TestDecorations:
+    def test_check_survives_optimize(self, run_optimized):
+        out = run_optimized("""
+            from hyptorsion import torsion
+            from hyptorsion.families import find_good_mu, nice_pairs_coprime
+            from hyptorsion.fields import PrimeField
+            F = PrimeField(11)
+            t = next(t for t in nice_pairs_coprime(F, 2) if t.I == (0, 1))
+            _, _, enh = find_good_mu(F, 2, t)
+            torsion.involution = lambda P, ctx: P
+            try:
+                torsion.decorations_of(enh.C, enh.P, enh.Q)
+                print("accepted")
+            except Exception as exc:
+                print(type(exc).__name__, exc)
+        """)
+        assert out == ["CertError a decoration's v1(a1), v2(a2) miss its "
+                       "marked pair"]
+
     def test_four_variants(self):
         cert = _template_cert(F11, 2, (0, 1), F11.coerce(2))
         enh = make_pair(F11, 2, cert)
@@ -189,16 +202,13 @@ class TestNormalize:
                 return
         pytest.skip("no witness found in range")
 
-    def test_checks_survive_optimize(self):
+    def test_checks_survive_optimize(self, run_optimized):
         # python -O strips assert statements; the typed raises must remain.
-        src = textwrap.dedent("""
-            import sys
+        out = run_optimized("""
             from hyptorsion import torsion
             from hyptorsion.families import find_good_mu, nice_pairs_coprime
             from hyptorsion.fields import PrimeField
             from hyptorsion.jacobian import AffinePoint
-            if __debug__:
-                sys.exit("asserts are live; run under python -O")
             F = PrimeField(11)
             t = next(t for t in nice_pairs_coprime(F, 2) if t.I == (0, 1))
             _, _, enh = find_good_mu(F, 2, t)
@@ -214,12 +224,7 @@ class TestNormalize:
                 except Exception as exc:
                     print(type(exc).__name__, exc)
         """)
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            [os.path.dirname(os.path.dirname(hyptorsion.__file__)),
-             os.environ.get("PYTHONPATH", "")]))
-        out = subprocess.run([sys.executable, "-O", "-c", src], env=env,
-                             capture_output=True, text=True, check=True).stdout
-        assert out.splitlines() == [
+        assert out == [
             "CertError normalized abscissas are not 0 and -1",
             "CertError normalized points are not on the normalized curve",
         ]
