@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import re
 import sys
 from fractions import Fraction
@@ -47,6 +48,13 @@ def parse_field(spec: str, seed=0):
 
 
 _TOKEN = re.compile(r"\s*(\d+|[x^+\-*()]|.)")
+
+# A power in polynomial text may reach this degree (a constant's exponent
+# counts as degree 1), so x^99999999999 is refused before it is expanded.
+MAX_POLY_DEGREE = 1000
+
+# The most exponent tuples, (p^k + 1)^(2l), that --all-admissible may walk.
+MAX_ADMISSIBLE_TUPLES = 10 ** 6
 
 
 def _tokenize(s):
@@ -105,7 +113,11 @@ def parse_poly(ctx, text: str) -> Poly:
             tok = take()
             if not tok.isdigit():
                 raise CliError("bad-poly", f"exponent must be an integer, got {tok!r}")
-            base = base ** int(tok)
+            e = int(tok)
+            if max(base.degree or 0, 1) * e > MAX_POLY_DEGREE:
+                raise CliError("bad-poly",
+                               f"power ^{e} would exceed degree {MAX_POLY_DEGREE}")
+            base = base ** e
         return base
 
     def term():
@@ -219,7 +231,22 @@ def _templates(F, args):
         return list(nice_pairs_coprime(F, args.g))
     if args.p is None or args.k is None or args.l is None:
         raise CliError("bad-args", "--p, --k, --l are required for the char regime")
+    if args.all_admissible and _walk_too_long(args.p, args.k, args.l):
+        raise CliError("bad-args", "--all-admissible would walk (p^k + 1)^(2l) > "
+                       f"{MAX_ADMISSIBLE_TUPLES} exponent tuples")
     return list(char_templates(F, args.p, args.k, args.l, ij_only=not args.all_admissible))
+
+
+def _walk_too_long(p, k, l):
+    """(p^k + 1)^(2l) > MAX_ADMISSIBLE_TUPLES, decided without forming p^k
+    for a large k.  Values the family code rejects, or that give at most
+    one tuple, pass."""
+    bound = MAX_ADMISSIBLE_TUPLES
+    if p < 2 or k < 0 or l < 1:
+        return False
+    if 2 * l > math.log2(bound) or 2 * l * k > math.log(bound, p):
+        return True
+    return (p ** k + 1) ** (2 * l) > bound
 
 
 def cmd_enumerate_families(args):

@@ -119,6 +119,7 @@ class AdmissibleFn:
     values: tuple
 
     def __post_init__(self):
+        _check_k(self.k)
         q = self.p ** self.k
         g = (q * (2 * self.l + 1) - 1) // 2
         if len(self.values) != 2 * self.l:
@@ -140,7 +141,7 @@ class AdmissibleFn:
 
 def admissible_enum(F, p, k, l):
     """All admissible exponent functions for n = p^k(2l+1) over F."""
-    _check_char_regime(F, p, l)
+    _check_char_regime(F, p, k, l)
     q = p ** k
     for values in itertools.product(range(q + 1), repeat=2 * l):
         try:
@@ -152,7 +153,7 @@ def admissible_enum(F, p, k, l):
 def upsilon_ij_enum(F, p, k, l):
     """The C(2l, l) functions taking (p^k+1)/2 on a set I and (p^k-1)/2 on
     its complement J; all are admissible."""
-    _check_char_regime(F, p, l)
+    _check_char_regime(F, p, k, l)
     q = p ** k
     hi, lo = (q + 1) // 2, (q - 1) // 2
     for I in itertools.combinations(range(2 * l), l):
@@ -160,7 +161,13 @@ def upsilon_ij_enum(F, p, k, l):
         yield AdmissibleFn(p, k, l, values)
 
 
-def _check_char_regime(F, p, l):
+def _check_k(k):
+    if k < 0:
+        raise ValueError(f"k must be >= 0, got {k}")
+
+
+def _check_char_regime(F, p, k, l):
+    _check_k(k)
     if F.char != p:
         raise FieldError(f"field characteristic {F.char} != p = {p}")
     if (2 * l + 1) % p == 0:

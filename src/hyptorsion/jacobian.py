@@ -3,11 +3,16 @@
 This module is the independent oracle for every torsion claim: divisor
 classes on y^2 = f(x) (deg f = 2g+1, monic, squarefree) are represented by
 reduced Mumford pairs (u, v), composed via extended polynomial gcds, and
-reduced until deg u <= g.  Orders are computed exactly by dividing out the
-prime factors of a known multiple.  Each test [m]D = 0 on the way is decided
-as [m - k]D = -[k]D with k = m // 2, one doubling short of [m]D: reduced
-pairs are unique, so the two sides agree as pairs exactly when they agree as
-classes.
+reduced until deg u <= g.  cantor_add takes the textbook special cases first:
+a degree-1 operand is doubled along the tangent or added along the chord with
+no gcd, a higher-degree doubling runs one xgcd and coprime supports skip the
+second one.  Everything else runs Cantor's general two-xgcd composition
+(_compose), which is also the oracle the special cases are tested against.
+Orders are computed exactly by dividing out the prime factors of a known
+multiple.  Each test [m]D = 0 on the way is decided as [m - k]D = -[k]D with
+k = m // 2, one doubling short of [m]D.  Reduced pairs are unique, so every
+route of cantor_add gives the same pair, and the two sides of a test agree as
+pairs exactly when they agree as classes.
 """
 
 from __future__ import annotations
@@ -153,9 +158,10 @@ def identity(C: Curve) -> MumfordDivisor:
 def embed(C: Curve, P: AffinePoint) -> MumfordDivisor:
     """Class of (P) - (infinity): the pair (x - x(P), y(P))."""
     ctx = C.ctx
+    if not C.contains(P.x, P.y):  # u | v^2 - f for u = x - x(P)
+        raise CurveError("u does not divide v^2 - f")
     u = Poly(ctx, [ctx.neg(P.x), ctx.one])
-    v = Poly.const(ctx, P.y)
-    return MumfordDivisor(C, u, v)
+    return MumfordDivisor(C, u, Poly.const(ctx, P.y), _checked=True)
 
 
 def neg(C: Curve, D: MumfordDivisor) -> MumfordDivisor:
@@ -176,20 +182,62 @@ def _reduce(C: Curve, u: Poly, v: Poly) -> MumfordDivisor:
     return MumfordDivisor(C, u, v, _checked=True)
 
 
-def cantor_add(C: Curve, D1: MumfordDivisor, D2: MumfordDivisor) -> MumfordDivisor:
-    """Reduced representative of the class D1 + D2 (composition + reduction).
-    An identity operand returns the other one, with no gcd run."""
-    if D1.is_identity:
-        return D2
-    if D2.is_identity:
-        return D1
+def _compose(C: Curve, D1: MumfordDivisor, D2: MumfordDivisor,
+             bezout=None) -> MumfordDivisor:
+    """Cantor's general composition and reduction (Cantor, Math. Comp. 48,
+    1987): d1 = gcd(u1, u2) = e1 u1 + e2 u2, then d = gcd(d1, v1 + v2).
+    bezout is (d1, e1, e2) when the caller already has it.  The fallback of
+    cantor_add and the oracle of its special cases."""
     u1, v1, u2, v2 = D1.u, D1.v, D2.u, D2.v
-    d1, e1, e2 = u1.xgcd(u2)
+    d1, e1, e2 = bezout or u1.xgcd(u2)
     d, c1, c2 = d1.xgcd(v1 + v2)
     s1, s2, s3 = c1 * e1, c1 * e2, c2
     u = (u1 * u2) // (d * d)
     v = ((s1 * u1 * v2 + s2 * u2 * v1 + s3 * (v1 * v2 + C.f)) // d) % u
     return _reduce(C, u.monic(), v)
+
+
+def cantor_add(C: Curve, D1: MumfordDivisor, D2: MumfordDivisor) -> MumfordDivisor:
+    """Reduced representative of the class D1 + D2 (composition + reduction).
+
+    An identity operand returns the other one.  With a point operand
+    (x - a, b), the other operand (u1, v1) is
+      - the same point: the identity if 2b = 0, else the tangent
+        u = (x - a)^2, v = b + f'(a)/(2b) (x - a);
+      - the point (a, -b): the identity;
+      - any divisor with u1(a) != 0: the chord u = u1 (x - a),
+        v = v1 + u1 (b - v1(a))/u1(a);
+    none of which runs a gcd.  Doubling a divisor of higher degree runs
+    one xgcd(u1, 2 v1), and coprime supports u = u1 u2 skip the second
+    xgcd.  The rest goes through _compose."""
+    if D1.is_identity:
+        return D2
+    if D2.is_identity:
+        return D1
+    if D2.u.degree != 1:
+        D1, D2 = D2, D1
+    u1, v1, u2, v2 = D1.u, D1.v, D2.u, D2.v
+    if u2.degree == 1:
+        ctx = C.ctx
+        a, b = ctx.neg(u2.coeffs[0]), v2.coeff(0)
+        w = u1(a)
+        if w != ctx.zero:
+            v = v1 + u1.scale(ctx.div(ctx.sub(b, v1(a)), w))
+            return _reduce(C, u1 * u2, v)
+        if u1.degree == 1:  # the same abscissa, so v1 = b or -b
+            if ctx.add(v1.coeff(0), b) == ctx.zero:
+                return identity(C)
+            slope = ctx.div(C.f.derivative()(a), ctx.add(b, b))
+            v = Poly(ctx, [ctx.sub(b, ctx.mul(slope, a)), slope])
+            return _reduce(C, u2 * u2, v)
+    elif D1 == D2:
+        ctx = C.ctx  # gcd(u1, u1) = u1 = 0 u1 + 1 u1
+        return _compose(C, D1, D1, (u1, Poly.zero(ctx), Poly.const(ctx, ctx.one)))
+    d1, e1, e2 = u1.xgcd(u2)
+    if d1.degree == 0:
+        u = u1 * u2
+        return _reduce(C, u, (e1 * u1 * v2 + e2 * u2 * v1) % u)
+    return _compose(C, D1, D2, (d1, e1, e2))
 
 
 def scalar_mul(C: Curve, n: int, D: MumfordDivisor) -> MumfordDivisor:

@@ -43,6 +43,17 @@ class TestParsers:
         with pytest.raises(cli.CliError):
             cli.parse_poly(F, "(x+1")
 
+    def test_parse_poly_caps_the_degree_before_expanding(self):
+        F = PrimeField(11)
+        top = cli.MAX_POLY_DEGREE
+        assert cli.parse_poly(F, f"x^{top}").degree == top
+        assert cli.parse_poly(F, f"(x^2)^{top // 2}").degree == top
+        for text in (f"x^{top + 1}", f"(x^2)^{top // 2 + 1}", "x^99999999999",
+                     "(x^9999)^9999", "2^99999999999"):
+            with pytest.raises(cli.CliError) as exc:
+                cli.parse_poly(F, text)
+            assert exc.value.code == "bad-poly", text
+
     def test_parse_point(self):
         F = PrimeField(11)
         P = cli.parse_point(F, "(0, 1)")
@@ -195,6 +206,12 @@ class TestCommands:
          "--curve", '["10",[2,0],[0,0],[1,0]]'],
         ["verify", "--field", "Q", "--g", "1", "--curve", "[true,0,0,1]",
          "--point", "(0,1)"],
+        ["census", "--p", "3", "--g", "1", "--n", "3", "--curve", "x^99999999999"],
+        ["census", "--p", "3", "--g", "1", "--n", "3", "--curve", "(x^9999)^9999"],
+        ["enumerate-families", "--field", "GF:11", "--g", "2", "--regime", "char",
+         "--p", "11", "--k", "2", "--l", "2", "--all-admissible"],
+        ["find-mu", "--field", "GF:7", "--g", "1", "--regime", "char", "--p", "7",
+         "--k=-1", "--l", "1"],
     ])
     def test_malformed_input_gives_error_envelope(self, capsys, tmp_path,
                                                   monkeypatch, argv):
@@ -233,6 +250,7 @@ VALUES = st.sampled_from([
     "[[1,0],[2,0],[0,0],[1,0]]", "[[1.9,0]]", '["10",[2,0]]', "[[[1]]]",
     "1/2", "-3/4", "1/0", "x", "x^9", "x^5+1", "x^3+2*x+1", "(x+1)^2",
     "x^7+x+1", "2*x-3", "x^3-x+1", "x^", "(x+1", "x^5 + y", "x^-1",
+    "x^99999999999", "(x^9999)^9999", "(x+1)^1001", "2^99999999999+x^3",
     "(0,1)", "(0, 1)", "([0],1)", "(1/2,1)", "(true,0)", "([1,0],[1,1])",
     "0,1", "missing.json"])
 FIELDS = st.sampled_from([

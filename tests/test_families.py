@@ -93,6 +93,16 @@ class TestAdmissible:
         for ups in upsilon_ij_enum(E, 3, 1, 2):
             assert ups.values in all_fns
 
+    def test_negative_k_rejected(self):
+        F7 = PrimeField(7)
+        with pytest.raises(ValueError, match="k must be >= 0, got -1"):
+            AdmissibleFn(7, -1, 1, (0, 1))
+        for enum in (upsilon_ij_enum, admissible_enum):
+            with pytest.raises(ValueError, match="k must be >= 0, got -1"):
+                list(enum(F7, 7, -1, 1))
+        with pytest.raises(ValueError, match="k must be >= 0"):
+            list(char_templates(F7, 7, -2, 1, ij_only=False))
+
     def test_char_mismatch_rejected(self):
         with pytest.raises(FieldError):
             list(upsilon_ij_enum(F11, 3, 1, 2))

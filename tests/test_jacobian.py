@@ -264,3 +264,104 @@ class TestGenusOneCrossCheck:
                     else:
                         assert got.u == Poly(F, [F.neg(expected[0]), F.one]), n
                         assert got.v == Poly(F, [expected[1]]), n
+
+
+def _case_divisors(C):
+    """Embedded points (one per Frobenius/sign orbit over GF(3^4)), and
+    sums of two of them that keep both points in their support."""
+    pts = [P for x0 in C.ctx.elements() for P in points_with_x(C, x0)]
+    if C is C_G4_F81:
+        pts = _up_to_frobenius_and_sign(C, pts)
+    points = [embed(C, P) for P in pts]
+    sums = [cantor_add(C, points[i], points[(3 * i + 1) % len(points)])
+            for i in range(0, len(points), 3)]
+    return points, [S for S in sums if S.u.degree >= 2]
+
+
+def _count_xgcd(monkeypatch):
+    calls = []
+    xgcd = Poly.xgcd
+
+    def counting(self, other):
+        calls.append(1)
+        return xgcd(self, other)
+
+    monkeypatch.setattr(Poly, "xgcd", counting)
+    return calls
+
+
+class TestCompositionCases:
+    """cantor_add's tangent, chord, doubling and coprime cases against the
+    general two-xgcd composition, which they must match pair for pair."""
+
+    @pytest.mark.parametrize("C", [C_G1_F13, C_X5_1, C_G4_F81],
+                             ids=["g1/GF13", "x5+1/GF11", "g4/GF81"])
+    def test_matches_general_composition(self, C):
+        points, sums = _case_divisors(C)
+        negs = [neg(C, D) for D in points + sums]
+        for D1 in points + sums:
+            for D2 in points + negs:
+                assert cantor_add(C, D1, D2) == jacobian._compose(C, D1, D2), (D1, D2)
+                assert cantor_add(C, D2, D1) == jacobian._compose(C, D2, D1), (D2, D1)
+        for S in sums:
+            assert cantor_add(C, S, S) == jacobian._compose(C, S, S)
+            assert cantor_add(C, S, neg(C, S)).is_identity
+
+    @pytest.mark.parametrize("C", [C_X5_1, C_G4_F81], ids=["x5+1/GF11", "g4/GF81"])
+    def test_point_in_the_support_falls_back(self, C):
+        pts = [P for x0 in C.ctx.elements() for P in points_with_x(C, x0)]
+        P, Q = pts[0], next(Q for Q in pts if Q.x != pts[0].x)
+        S = cantor_add(C, embed(C, P), embed(C, Q))
+        assert S.u.degree == 2 and S.u(P.x) == C.ctx.zero
+        for R in (P, involution(P, C.ctx)):
+            D = embed(C, R)
+            assert cantor_add(C, S, D) == jacobian._compose(C, S, D)
+            assert cantor_add(C, D, S) == jacobian._compose(C, D, S)
+        assert cantor_add(C, S, neg(C, embed(C, P))) == embed(C, Q)
+
+    def test_two_torsion_doubles_to_identity(self):
+        for C in (C_G1_F13, C_X5_1, C_G4_F81):
+            F = C.ctx
+            roots = [P for x0 in F.elements() for P in points_with_x(C, x0)
+                     if P.y == F.zero]
+            assert roots, C
+            for P in roots:
+                D = embed(C, P)
+                assert neg(C, D) == D
+                assert cantor_add(C, D, D).is_identity
+                assert jacobian._compose(C, D, D).is_identity
+
+    def test_tangent_and_chord_run_no_xgcd(self, monkeypatch):
+        calls = _count_xgcd(monkeypatch)
+        for C in (C_G1_F13, C_X5_1, C_G4_F81):
+            points, sums = _case_divisors(C)
+            for D in points:
+                del calls[:]
+                cantor_add(C, D, D)
+                assert not calls, D
+                a = C.ctx.neg(D.u.coeffs[0])
+                for E in points + sums:
+                    if E.u(a) == C.ctx.zero:
+                        continue
+                    del calls[:]
+                    cantor_add(C, D, E)
+                    cantor_add(C, E, D)
+                    assert not calls, (D, E)
+
+    def test_doubling_and_coprime_supports_run_one_xgcd(self, monkeypatch):
+        points, sums = _case_divisors(C_G4_F81)
+        coprime = [(S, T) for S in sums for T in sums
+                   if S.u.xgcd(T.u)[0].degree == 0]
+        assert coprime
+        calls = _count_xgcd(monkeypatch)
+        for S in sums:
+            del calls[:]
+            cantor_add(C_G4_F81, S, S)
+            assert len(calls) == 1, S
+        for S, T in coprime:
+            del calls[:]
+            cantor_add(C_G4_F81, S, T)
+            assert len(calls) == 1, (S, T)
+        del calls[:]
+        jacobian._compose(C_G4_F81, sums[0], sums[0])
+        assert len(calls) == 2
