@@ -5,6 +5,10 @@ a restricted human syntax like "x^5+(x+1)^2"; fields as "Q", "GF:p" or
 "GF:p,m".  Every command prints a CommandResult object
 {"status": ..., "payload": ..., "provenance": ..., "backend": ...} and exits 0
 on success; "backend" names the GF(p) kernels that ran ("compiled" or "pure").
+
+Importing this module loads only the core (fields, polyring, jacobian,
+torsion, kernels); a command that needs families, pairing, numth or the
+acceptance suite imports it when it runs.
 """
 
 from __future__ import annotations
@@ -16,14 +20,9 @@ import re
 import sys
 from fractions import Fraction
 
-from . import acceptance
-from .families import (char_templates, find_good_mu, nice_pairs_coprime,
-                       rational_four_torsion, symmetry_classes)
 from .fields import (FieldError, InsufficientFieldError, Rationals, field_make)
 from .jacobian import AffinePoint, Curve, CurveError, embed, exact_order
 from .kernels import BACKEND
-from .numth import hyperelliptic_cert, hyperelliptic_scan, overq_filter
-from .pairing import weil_closed, weil_explicit, weil_result_json
 from .polyring import Poly
 from .torsion import (CertError, PairCert, make_pair, make_single,
                       torsion_census, verify_single)
@@ -44,7 +43,21 @@ def parse_field(spec: str, seed=0):
     if not m:
         raise CliError("bad-field", f"cannot parse field {spec!r}; use Q or GF:p[,m]")
     p, ext = int(m.group(1)), int(m.group(2) or 1)
-    return field_make({"kind": "GF", "p": p, "m": ext}, seed=seed)
+    return make_field({"kind": "GF", "p": p, "m": ext}, seed)
+
+
+# The largest extension degree m accepted for GF(p^m): GF(3^32) takes about
+# half a second to build on the pure backend, GF(3^40) about two.
+MAX_EXT_DEGREE = 32
+
+
+def make_field(spec, seed):
+    """field_make for a parsed spec, refusing m > MAX_EXT_DEGREE before the
+    search for an irreducible modulus starts."""
+    m = spec.get("m", 1)
+    if isinstance(m, (int, float)) and m > MAX_EXT_DEGREE:
+        raise CliError("bad-field", f"extension degree {m} exceeds {MAX_EXT_DEGREE}")
+    return field_make(spec, seed=seed)
 
 
 _TOKEN = re.compile(r"\s*(\d+|[x^+\-*()]|.)")
@@ -176,7 +189,7 @@ def load_curve(args, F):
             if not isinstance(g, int) or isinstance(g, bool):
                 raise CliError("bad-curve", f"cannot read curve {text!r}: "
                                f"g must be a JSON integer, got {g!r}")
-            F = field_make(spec, seed=args.seed)
+            F = make_field(spec, args.seed)
             f = Poly.from_json(F, coeffs)
         except (OSError, KeyError, TypeError) as exc:
             raise CliError("bad-curve", f"cannot read curve {text!r}: {exc!r}") from None
@@ -227,14 +240,32 @@ def cmd_construct_pair(args):
 
 
 def _templates(F, args):
+    from .families import char_templates, nice_pairs_coprime
     if args.regime == "coprime":
         return list(nice_pairs_coprime(F, args.g))
     if args.p is None or args.k is None or args.l is None:
         raise CliError("bad-args", "--p, --k, --l are required for the char regime")
+    _check_char_curve(args.g, args.p, args.k, args.l)
     if args.all_admissible and _walk_too_long(args.p, args.k, args.l):
         raise CliError("bad-args", "--all-admissible would walk (p^k + 1)^(2l) > "
                        f"{MAX_ADMISSIBLE_TUPLES} exponent tuples")
     return list(char_templates(F, args.p, args.k, args.l, ij_only=not args.all_admissible))
+
+
+def _check_char_curve(g, p, k, l):
+    """Refuse a char template whose curve degree n = p^k(2l+1) exceeds
+    MAX_POLY_DEGREE, decided without forming p^k for a large k, or whose
+    genus (n - 1)/2 is not g.  Values the family code rejects pass."""
+    if p < 2 or k < 0 or l < 0:
+        return
+    # p^k >= 2^k > MAX_POLY_DEGREE once k reaches its bit length
+    n = p ** k * (2 * l + 1) if k < MAX_POLY_DEGREE.bit_length() else None
+    if n is None or n > MAX_POLY_DEGREE:
+        raise CliError("bad-args", "the curve degree p^k(2l+1) would exceed "
+                       f"{MAX_POLY_DEGREE}")
+    if g != (n - 1) // 2:
+        raise CliError("bad-args", f"--g {g} is not the genus (p^k(2l+1) - 1)/2 = "
+                       f"{(n - 1) // 2} of the char templates")
 
 
 def _walk_too_long(p, k, l):
@@ -250,6 +281,7 @@ def _walk_too_long(p, k, l):
 
 
 def cmd_enumerate_families(args):
+    from .families import symmetry_classes
     F = parse_field(args.field, args.seed)
     templates = _templates(F, args)
     payload = {"count": len(templates),
@@ -260,18 +292,19 @@ def cmd_enumerate_families(args):
 
 
 def cmd_find_mu(args):
+    from .families import find_good_mu
     F = parse_field(args.field, args.seed)
     templates = _templates(F, args)
     if not 0 <= args.index < len(templates):
         raise CliError("bad-args", f"--index out of range (have {len(templates)})")
     t = templates[args.index]
-    g = t.g if hasattr(t, "g") else args.g
-    mu, cert, enh = find_good_mu(F, g, t)
+    mu, cert, enh = find_good_mu(F, args.g, t)
     return {"family": t.to_json(mu=mu, F=F), "curve": enh.C.to_json(),
             "P": point_json(F, enh.P), "Q": point_json(F, enh.Q)}, "good-mu-scan"
 
 
 def cmd_rational_g52(args):
+    from .families import rational_four_torsion
     C, pts, cert, mu = rational_four_torsion(args.g)
     F = C.ctx
     return {"curve": C.to_json(), "mu": F.elem_to_json(mu),
@@ -280,6 +313,7 @@ def cmd_rational_g52(args):
 
 
 def cmd_hyperelliptic(args):
+    from .numth import hyperelliptic_cert, hyperelliptic_scan, overq_filter
     if args.max is not None:
         return ({"hyperelliptic": hyperelliptic_scan(args.max)},
                 "totient-partition-scan")
@@ -300,6 +334,8 @@ def cmd_census(args):
 
 
 def cmd_weil(args):
+    from .families import find_good_mu, nice_pairs_coprime
+    from .pairing import weil_closed, weil_explicit, weil_result_json
     F = parse_field(args.field, args.seed)
     I = tuple(int(i) for i in args.I.split(",")) if args.I else ()
     templates = [t for t in nice_pairs_coprime(F, args.g) if t.I == I]
@@ -322,6 +358,7 @@ def cmd_weil(args):
 
 
 def cmd_selftest(args):
+    from . import acceptance
     results = acceptance.run_all(verbose=True)
     payload = {"criteria": [
         {"name": name, "status": "pass" if ok else "fail", "detail": detail,

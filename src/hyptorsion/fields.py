@@ -54,18 +54,20 @@ def is_prime(n):
     return True
 
 
-def _prime_factors(n):
-    """Sorted distinct prime factors by trial division."""
-    out = []
+def factorize(n):
+    """Prime factorization as a dict prime -> exponent, primes ascending
+    (trial division)."""
+    if n < 1:
+        raise ValueError(f"n must be positive, got {n}")
+    out = {}
     d = 2
     while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
+        while n % d == 0:
+            out[d] = out.get(d, 0) + 1
+            n //= d
         d += 1 if d == 2 else 2
     if n > 1:
-        out.append(n)
+        out[n] = out.get(n, 0) + 1
     return out
 
 
@@ -255,7 +257,7 @@ class FiniteFieldMixin:
         if self.pow_el(a, n) != self.one:
             return None
         order = n
-        for r in _prime_factors(n):
+        for r in factorize(n):
             while order % r == 0 and self.pow_el(a, order // r) == self.one:
                 order //= r
         return order
@@ -332,7 +334,7 @@ def _is_irreducible(modulus, p, k):
     xq = k.ppowmod(x, p ** m, modulus, p)
     if k.psub(xq, x, p):
         return False
-    for r in _prime_factors(m):
+    for r in factorize(m):
         xd = k.ppowmod(x, p ** (m // r), modulus, p)
         if k.pgcd(k.psub(xd, x, p), modulus, p) != [1]:
             return False
@@ -393,7 +395,7 @@ def _tables(p, modulus, k):
 def _build_tables(p, mod, k):
     q = p ** (len(mod) - 1)
     n = q - 1
-    cofactors = [n // r for r in _prime_factors(n)]
+    cofactors = [n // r for r in factorize(n)]
     for gen in range(2, q):
         g = _digits(gen, p)
         if all(k.ppowmod(g, e, mod, p) != [1] for e in cofactors):
@@ -564,7 +566,7 @@ def nth_roots_of_unity(F, n):
         raise ValueError(f"n must be odd and >= 3, got {n}")
     if not F.is_finite:
         phi = n
-        for r in _prime_factors(n):
+        for r in factorize(n):
             phi -= phi // r
         raise InsufficientFieldError(
             f"Q contains no nontrivial {n}-th roots of unity; "

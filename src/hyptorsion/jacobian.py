@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .numth import factorize
+from .fields import factorize
 from .polyring import Poly, is_squarefree
 
 

@@ -12,21 +12,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-
-def factorize(n):
-    """Prime factorization as a dict prime -> exponent (trial division)."""
-    if n < 1:
-        raise ValueError(f"n must be positive, got {n}")
-    out = {}
-    d = 2
-    while d * d <= n:
-        while n % d == 0:
-            out[d] = out.get(d, 0) + 1
-            n //= d
-        d += 1 if d == 2 else 2
-    if n > 1:
-        out[n] = out.get(n, 0) + 1
-    return out
+from .fields import factorize
 
 
 def totient(n):

@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
+from . import kernels
 from .fields import Field, PrimeField, Rationals
 
 
@@ -385,7 +386,7 @@ def is_squarefree(f: Poly) -> bool:
         for p in _SQFREE_PRIMES:
             if ints[-1] % p == 0:
                 continue
-            from . import _kernel_py as k
+            k = kernels.for_prime(p)
             fa = k.ptrim([c % p for c in ints])
             da = k.ptrim([(i * ints[i]) % p for i in range(1, len(ints))])
             if da and k.pgcd(fa, da, p) == [1]:

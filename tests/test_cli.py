@@ -212,6 +212,21 @@ class TestCommands:
          "--p", "11", "--k", "2", "--l", "2", "--all-admissible"],
         ["find-mu", "--field", "GF:7", "--g", "1", "--regime", "char", "--p", "7",
          "--k=-1", "--l", "1"],
+        ["find-mu", "--field", "GF:3,4", "--g", "7", "--regime", "char", "--p", "3",
+         "--k", "6", "--l", "2"],
+        ["find-mu", "--field", "GF:3,4", "--g", "1", "--regime", "char", "--p", "3",
+         "--k", "1", "--l", "2"],
+        ["find-mu", "--field", "GF:3,4", "--g", "7", "--regime", "char", "--p", "3",
+         "--k", "30", "--l", "2"],
+        ["enumerate-families", "--field", "GF:3,4", "--g", "7", "--regime", "char",
+         "--p", "3", "--k", "30", "--l", "2"],
+        ["enumerate-families", "--field", "GF:11", "--g", "302", "--regime", "char",
+         "--p", "11", "--k", "2", "--l", "2", "--all-admissible"],
+        ["construct-single", "--field", "GF:3,5000", "--g", "1", "--a", "1",
+         "--v", "x"],
+        ["census", "--p", "3", "--m", "3000", "--g", "1", "--n", "3",
+         "--curve", "x^3+1"],
+        ["verify", "--curve", "huge-extension.json", "--point", "(0,1)"],
     ])
     def test_malformed_input_gives_error_envelope(self, capsys, tmp_path,
                                                   monkeypatch, argv):
@@ -232,16 +247,88 @@ class TestCommands:
                  ' "f": [1, 0, 0, 0, 0, 1]}'),
                 ("bool-g.json",
                  '{"field": {"kind": "GF", "p": 11}, "g": true,'
-                 ' "f": [1, 0, 1, 1]}')):
+                 ' "f": [1, 0, 1, 1]}'),
+                ("huge-extension.json",
+                 '{"field": {"kind": "GF", "p": 3, "m": 5000}, "g": 1,'
+                 ' "f": [1, 0, 0, 1]}')):
             (tmp_path / name).write_text(text)
         code, out = run(capsys, argv)
         assert code == 1 and out["status"] == "error"
 
+    @pytest.mark.parametrize("k, l, g, refused", [
+        (1, 2, 7, False), (1, 2, 1, True), (1, 2, 8, True), (6, 2, 7, True),
+        (6, 2, 1822, True), (30, 2, 7, True), (10 ** 12, 2, 7, True)])
+    def test_char_regime_bounds(self, capsys, k, l, g, refused):
+        # n = 3^k(2l+1): --g must be (n - 1)/2, and n at most MAX_POLY_DEGREE
+        for command in ("find-mu", "enumerate-families"):
+            code, out = run(capsys, [
+                command, "--field", "GF:3,4", "--g", str(g), "--regime", "char",
+                "--p", "3", "--k", str(k), "--l", str(l)])
+            if refused:
+                assert (code, out["code"]) == (1, "bad-args"), out
+            else:
+                assert (code, out["status"]) == (0, "ok"), out
+
+    def test_extension_degree_bound(self, capsys, tmp_path):
+        top = cli.MAX_EXT_DEGREE
+        assert cli.parse_field(f"GF:3,{top}").m == top
+        curve = tmp_path / "curve.json"
+        curve.write_text(json.dumps({"field": {"kind": "GF", "p": 3, "m": top + 1},
+                                     "g": 1, "f": [1, 0, 0, 1]}))
+        for argv in (
+                ["construct-single", "--field", f"GF:3,{top + 1}", "--g", "1",
+                 "--a", "1", "--v", "x"],
+                ["census", "--p", "3", "--m", str(top + 1), "--g", "1", "--n", "3",
+                 "--curve", "x^3+1"],
+                ["verify", "--curve", str(curve), "--point", "(0,1)"]):
+            code, out = run(capsys, argv)
+            assert (code, out["code"]) == (1, "bad-field"), argv
+
+
+# -- commands in a fresh process ----------------------------------------------
+# The commands below import the modules they need when they run.  In-process
+# tests cannot see a missing import, because earlier tests have already
+# loaded every module.
+
+@pytest.mark.parametrize("argv", [
+    ["weil", "--field", "GF:11", "--g", "2", "--I", "0,1"],
+    ["find-mu", "--field", "GF:11", "--g", "2"],
+    ["find-mu", "--field", "GF:3,4", "--g", "7", "--regime", "char", "--p", "3",
+     "--k", "1", "--l", "2"],
+    ["enumerate-families", "--field", "GF:11", "--g", "2"],
+    ["enumerate-families", "--field", "GF:3,4", "--g", "7", "--regime", "char",
+     "--p", "3", "--k", "1", "--l", "2"],
+    ["hyperelliptic", "--n", "105"],
+    ["hyperelliptic", "--max", "50"],
+    ["rational-g52"],
+])
+def test_deferred_command_in_a_fresh_process(run_fresh, argv):
+    proc = run_fresh(f"""
+        import sys
+        from hyptorsion import cli
+        sys.exit(cli.main({argv!r}))
+    """)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["status"] == "ok"
+
+
+def test_selftest_in_a_fresh_process(run_fresh):
+    proc = run_fresh("""
+        import sys
+        from hyptorsion import acceptance, cli
+        acceptance.CRITERIA = acceptance.CRITERIA[:1]
+        sys.exit(cli.main(["selftest"]))
+    """)
+    assert proc.returncode == 0, proc.stderr
+    out = json.loads(proc.stdout)
+    assert out["status"] == "ok" and len(out["payload"]["criteria"]) == 1
+
 
 # -- argv shapes -------------------------------------------------------------
 # Every flag value comes from a fixed pool, and the pools keep each call
-# small (p <= 13, m <= 3, g <= 3): no hyperelliptic --max, rational-g52 or
-# selftest.  Integer-typed flags get integers, so argparse accepts every argv.
+# small (p <= 13, m <= 3, g <= 3; GF:3,5000 must be refused before it is
+# built): no hyperelliptic --max, rational-g52 or selftest.  Integer-typed
+# flags get integers, so argparse accepts every argv.
 
 VALUES = st.sampled_from([
     "0", "1", "-1", "2", "7", "-12", "1.5", "-0.25", "1e3", "true", "false",
@@ -256,7 +343,7 @@ VALUES = st.sampled_from([
 FIELDS = st.sampled_from([
     "Q", "GF:3", "GF:5", "GF:7", "GF:11", "GF:13", "GF:3,2", "GF:3,3",
     "GF:5,2", "GF:7,3", "GF:13,2", "GF:2", "GF:1", "GF:9", "GF:3,0", "GF(3)",
-    "abc"])
+    "abc", "GF:3,5000"])
 GENERA = st.sampled_from(["-1", "0", "1", "2", "3"])
 PRIMES = ["-1", "0", "1", "2", "3", "4", "5", "7", "11", "13"]
 ORDERS = st.sampled_from(["-1", "0", "1", "2", "3", "5", "7", "9", "15"])
