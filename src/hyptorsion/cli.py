@@ -50,13 +50,29 @@ def parse_field(spec: str, seed=0):
 # half a second to build on the pure backend, GF(3^40) about two.
 MAX_EXT_DEGREE = 32
 
+# GF(p^m) may have at most 2^MAX_FIELD_BITS elements.  The search for a
+# modulus also grows with p: on the pure backend GF(13^32) (118 bits) takes
+# about a second to build, GF(257^32) (256 bits) about three and
+# GF(2147483659^24) (744 bits) about six.
+MAX_FIELD_BITS = 128
+
+# The largest field a census may enumerate.  Over GF(3^8) (6,561 elements) a
+# genus-4 census takes about 2 s; above 2^13 elements GF(p^m) has no Zech
+# tables, and a genus-1 census over GF(3^9) takes 8 s.
+MAX_CENSUS_ORDER = 2 ** 13
+
 
 def make_field(spec, seed):
-    """field_make for a parsed spec, refusing m > MAX_EXT_DEGREE before the
-    search for an irreducible modulus starts."""
-    m = spec.get("m", 1)
+    """field_make for a parsed spec, refusing m > MAX_EXT_DEGREE or more
+    than 2^MAX_FIELD_BITS elements before the search for an irreducible
+    modulus starts."""
+    p, m = spec.get("p"), spec.get("m", 1)
     if isinstance(m, (int, float)) and m > MAX_EXT_DEGREE:
         raise CliError("bad-field", f"extension degree {m} exceeds {MAX_EXT_DEGREE}")
+    if (isinstance(p, int) and isinstance(m, int) and m > 0
+            and p ** m > 2 ** MAX_FIELD_BITS):
+        raise CliError("bad-field", f"GF({p}^{m}) has more than "
+                       f"2^{MAX_FIELD_BITS} elements")
     return field_make(spec, seed=seed)
 
 
@@ -328,6 +344,9 @@ def cmd_census(args):
     F = parse_field(f"GF:{args.p},{args.m}" if args.m > 1 else f"GF:{args.p}",
                     args.seed)
     F, C = load_curve(args, F)
+    if F.is_finite and F.order > MAX_CENSUS_ORDER:
+        raise CliError("bad-args", f"a census enumerates the field; {F.order} "
+                       f"elements exceed {MAX_CENSUS_ORDER}")
     found = torsion_census(C, args.n)
     return {"n": args.n, "count": len(found),
             "points": [point_json(F, P) for P, _ in found]}, "torsion-census"

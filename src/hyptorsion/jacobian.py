@@ -4,10 +4,14 @@ This module is the independent oracle for every torsion claim: divisor
 classes on y^2 = f(x) (deg f = 2g+1, monic, squarefree) are represented by
 reduced Mumford pairs (u, v), composed via extended polynomial gcds, and
 reduced until deg u <= g.  cantor_add takes the textbook special cases first:
-a degree-1 operand is doubled along the tangent or added along the chord with
-no gcd, a higher-degree doubling runs one xgcd and coprime supports skip the
-second one.  Everything else runs Cantor's general two-xgcd composition
-(_compose), which is also the oracle the special cases are tested against.
+a point operand P is added along the chord, cancels against -P in the other
+operand's support, or raises P's multiplicity there (the tangent when the
+other operand is P), all with no gcd; a higher-degree doubling runs one xgcd
+and coprime supports skip the second one.  Everything else runs Cantor's
+general two-xgcd composition (_compose), which is also the oracle the special
+cases are tested against.  So the census order test of a point, whose ladder
+stays among the multiples [k]P = ((x - a)^k, v) with k <= g, never reaches
+_compose.
 Orders are computed exactly by dividing out the prime factors of a known
 multiple.  Each test [m]D = 0 on the way is decided as [m - k]D = -[k]D with
 k = m // 2, one doubling short of [m]D.  Reduced pairs are unique, so every
@@ -183,14 +187,15 @@ def _reduce(C: Curve, u: Poly, v: Poly) -> MumfordDivisor:
 
 
 def _compose(C: Curve, D1: MumfordDivisor, D2: MumfordDivisor,
-             bezout=None) -> MumfordDivisor:
+             bezout=None, bezout2=None) -> MumfordDivisor:
     """Cantor's general composition and reduction (Cantor, Math. Comp. 48,
     1987): d1 = gcd(u1, u2) = e1 u1 + e2 u2, then d = gcd(d1, v1 + v2).
-    bezout is (d1, e1, e2) when the caller already has it.  The fallback of
-    cantor_add and the oracle of its special cases."""
+    bezout is (d1, e1, e2) and bezout2 is (d, c1, c2) when the caller
+    already has them.  The fallback of cantor_add and the oracle of its
+    special cases."""
     u1, v1, u2, v2 = D1.u, D1.v, D2.u, D2.v
     d1, e1, e2 = bezout or u1.xgcd(u2)
-    d, c1, c2 = d1.xgcd(v1 + v2)
+    d, c1, c2 = bezout2 or d1.xgcd(v1 + v2)
     s1, s2, s3 = c1 * e1, c1 * e2, c2
     u = (u1 * u2) // (d * d)
     v = ((s1 * u1 * v2 + s2 * u2 * v1 + s3 * (v1 * v2 + C.f)) // d) % u
@@ -201,15 +206,20 @@ def cantor_add(C: Curve, D1: MumfordDivisor, D2: MumfordDivisor) -> MumfordDivis
     """Reduced representative of the class D1 + D2 (composition + reduction).
 
     An identity operand returns the other one.  With a point operand
-    (x - a, b), the other operand (u1, v1) is
-      - the same point: the identity if 2b = 0, else the tangent
-        u = (x - a)^2, v = b + f'(a)/(2b) (x - a);
-      - the point (a, -b): the identity;
-      - any divisor with u1(a) != 0: the chord u = u1 (x - a),
+    P = (x - a, b), the other operand (u1, v1) is
+      - a divisor with u1(a) != 0: the chord u = u1 (x - a),
         v = v1 + u1 (b - v1(a))/u1(a);
+      - a divisor holding (a, -b), that is v1(a) = -b (so also any b = 0):
+        one copy cancels, u = u1/(x - a) and v = v1 mod u;
+      - a divisor holding P, v1(a) = b != 0: the multiplicity of P goes up,
+        u = u1 (x - a) and v = v1 + u1 k(a)/(2b) with k = (f - v1^2)/u1,
+        which for u1 = x - a is the tangent;
     none of which runs a gcd.  Doubling a divisor of higher degree runs
-    one xgcd(u1, 2 v1), and coprime supports u = u1 u2 skip the second
-    xgcd.  The rest goes through _compose."""
+    one xgcd(u1, 2 v1): with gcd 1 and t = (2 v1)^-1 mod u1, u = u1^2 and
+    v = v1 + (k t mod u1) u1; otherwise _compose gets both Bezout triples.
+    Coprime supports u = u1 u2 skip the second xgcd.  The rest goes through
+    _compose.  (Handbook of Elliptic and Hyperelliptic Curve Cryptography,
+    ch. 14.)"""
     if D1.is_identity:
         return D2
     if D2.is_identity:
@@ -217,22 +227,27 @@ def cantor_add(C: Curve, D1: MumfordDivisor, D2: MumfordDivisor) -> MumfordDivis
     if D2.u.degree != 1:
         D1, D2 = D2, D1
     u1, v1, u2, v2 = D1.u, D1.v, D2.u, D2.v
+    ctx = C.ctx
     if u2.degree == 1:
-        ctx = C.ctx
         a, b = ctx.neg(u2.coeffs[0]), v2.coeff(0)
         w = u1(a)
         if w != ctx.zero:
             v = v1 + u1.scale(ctx.div(ctx.sub(b, v1(a)), w))
             return _reduce(C, u1 * u2, v)
-        if u1.degree == 1:  # the same abscissa, so v1 = b or -b
-            if ctx.add(v1.coeff(0), b) == ctx.zero:
-                return identity(C)
-            slope = ctx.div(C.f.derivative()(a), ctx.add(b, b))
-            v = Poly(ctx, [ctx.sub(b, ctx.mul(slope, a)), slope])
-            return _reduce(C, u2 * u2, v)
-    elif D1 == D2:
-        ctx = C.ctx  # gcd(u1, u1) = u1 = 0 u1 + 1 u1
-        return _compose(C, D1, D1, (u1, Poly.zero(ctx), Poly.const(ctx, ctx.one)))
+        if ctx.add(v1(a), b) == ctx.zero:  # v1(a) = +-b, so b = 0 lands here
+            u = u1 // u2
+            return MumfordDivisor(C, u, v1 % u, _checked=True)
+        k = (C.f - v1 * v1) // u1
+        v = v1 + u1.scale(ctx.div(k(a), ctx.add(b, b)))
+        return _reduce(C, u1 * u2, v)
+    if D1 == D2:
+        d, s, t = u1.xgcd(v1 + v1)
+        if d.degree == 0:
+            k = (C.f - v1 * v1) // u1
+            return _reduce(C, u1 * u1, v1 + ((k * t) % u1) * u1)
+        # gcd(u1, u1) = u1 = 0 u1 + 1 u1
+        return _compose(C, D1, D1, (u1, Poly.zero(ctx), Poly.const(ctx, ctx.one)),
+                        (d, s, t))
     d1, e1, e2 = u1.xgcd(u2)
     if d1.degree == 0:
         u = u1 * u2
@@ -271,7 +286,8 @@ def exact_order(C: Curve, D: MumfordDivisor, n: int):
     fails.  Divides each prime out of n as far as possible.  Every test
     [m]D = 0 (m = n, then each m = order // p) goes through _kills, so it
     costs bit_length(m // 2) - 1 + popcount(m // 2) - 1 + m % 2
-    compositions for m >= 2."""
+    compositions for m >= 2.  For a point D, only the doublings of degree
+    >= 2 among them run an xgcd, one each."""
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     if not _kills(C, n, D):

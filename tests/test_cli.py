@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 import hyptorsion
 from hyptorsion import acceptance, cli
-from hyptorsion.fields import PrimeField, Rationals
+from hyptorsion.fields import PrimeField, Rationals, is_prime
 from hyptorsion.polyring import Poly
 
 
@@ -227,6 +227,12 @@ class TestCommands:
         ["census", "--p", "3", "--m", "3000", "--g", "1", "--n", "3",
          "--curve", "x^3+1"],
         ["verify", "--curve", "huge-extension.json", "--point", "(0,1)"],
+        ["census", "--p", "3", "--m", "14", "--g", "1", "--n", "3",
+         "--curve", "x^3+2*x+1"],
+        ["census", "--p", "1000003", "--g", "1", "--n", "3",
+         "--curve", "x^3+2*x+1"],
+        ["construct-single", "--field", "GF:2147483659,24", "--g", "1",
+         "--a", "[0]", "--v", "[[1]]"],
     ])
     def test_malformed_input_gives_error_envelope(self, capsys, tmp_path,
                                                   monkeypatch, argv):
@@ -283,6 +289,26 @@ class TestCommands:
                 ["verify", "--curve", str(curve), "--point", "(0,1)"]):
             code, out = run(capsys, argv)
             assert (code, out["code"]) == (1, "bad-field"), argv
+
+    def test_field_size_bound(self, capsys):
+        # the primes on either side of 2^MAX_FIELD_BITS
+        top = 2 ** cli.MAX_FIELD_BITS
+        below = next(p for p in range(top - 1, 0, -2) if is_prime(p))
+        above = next(p for p in range(top + 1, 2 * top, 2) if is_prime(p))
+        assert cli.parse_field(f"GF:{below}").order == below
+        for spec in (f"GF:{above}", "GF:2147483659,24", "GF:17,32"):
+            code, out = run(capsys, ["construct-single", "--field", spec,
+                                     "--g", "1", "--a", "0", "--v", "1"])
+            assert (code, out["code"]) == (1, "bad-field"), spec
+
+    def test_census_field_order_bound(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "MAX_CENSUS_ORDER", 25)
+        census = ["census", "--g", "1", "--n", "3", "--curve", "x^3+2*x+1"]
+        code, out = run(capsys, census + ["--p", "5", "--m", "2"])
+        assert (code, out["status"]) == (0, "ok"), out
+        for pm in (["--p", "3", "--m", "3"], ["--p", "29"]):
+            code, out = run(capsys, census + pm)
+            assert (code, out["code"]) == (1, "bad-args"), pm
 
 
 # -- commands in a fresh process ----------------------------------------------
@@ -343,7 +369,7 @@ VALUES = st.sampled_from([
 FIELDS = st.sampled_from([
     "Q", "GF:3", "GF:5", "GF:7", "GF:11", "GF:13", "GF:3,2", "GF:3,3",
     "GF:5,2", "GF:7,3", "GF:13,2", "GF:2", "GF:1", "GF:9", "GF:3,0", "GF(3)",
-    "abc", "GF:3,5000"])
+    "abc", "GF:3,5000", "GF:2147483659,24"])
 GENERA = st.sampled_from(["-1", "0", "1", "2", "3"])
 PRIMES = ["-1", "0", "1", "2", "3", "4", "5", "7", "11", "13"]
 ORDERS = st.sampled_from(["-1", "0", "1", "2", "3", "5", "7", "9", "15"])

@@ -1,8 +1,10 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from hyptorsion import jacobian
+from hyptorsion import acceptance, jacobian
 from hyptorsion.fields import ExtField, PrimeField, Rationals
 from hyptorsion.jacobian import (AffinePoint, Curve, DegreeError,
                                  MumfordDivisor, NotMonicError,
@@ -145,6 +147,7 @@ class TestScalarMul:
 
 F13 = PrimeField(13)
 C_G1_F13 = Curve(F13, 1, Poly.from_ints(F13, [3, 2, 0, 1]))  # x^3 + 2x + 3
+C_G2_F13 = Curve(F13, 2, Poly.from_ints(F13, [2, 1, 0, 0, 0, 1]))  # x^5 + x + 2
 
 
 def _up_to_frobenius_and_sign(C, pts):
@@ -290,9 +293,44 @@ def _count_xgcd(monkeypatch):
     return calls
 
 
+def _oracle_sum(C, terms):
+    """The sum of k P over the (P, k) in terms, by general composition."""
+    D = identity(C)
+    for P, k in terms:
+        E = embed(C, P if k > 0 else involution(P, C.ctx))
+        for _ in range(abs(k)):
+            D = jacobian._compose(C, D, E)
+    return D
+
+
+def _point_pool(C):
+    """A 2-torsion point and three points off the 2-torsion, all with
+    distinct abscissas, so that sums drawn from them often share support."""
+    F = C.ctx
+    pts = [P for x0 in F.elements() for P in points_with_x(C, x0)]
+    pool = [next(P for P in pts if P.y == F.zero)]
+    for P in pts:
+        if len(pool) < 4 and P.y != F.zero and all(P.x != R.x for R in pool):
+            pool.append(P)
+    return C, pool
+
+
+POOLS = [_point_pool(C) for C in (C_G1_F13, C_G2_F13, C_G4_F81)]
+
+
+def _pool_sums(C, pool):
+    """P + Q for every two pool points, and for g >= 3 the sum of all four."""
+    sums = [_oracle_sum(C, [(P, 1), (Q, 1)])
+            for i, P in enumerate(pool) for Q in pool[i + 1:]]
+    if C.g >= 3:
+        sums.append(_oracle_sum(C, [(P, 1) for P in pool]))
+    return sums
+
+
 class TestCompositionCases:
-    """cantor_add's tangent, chord, doubling and coprime cases against the
-    general two-xgcd composition, which they must match pair for pair."""
+    """cantor_add's cases (a point operand by chord, tangent or a point
+    already in the support; doubling; coprime supports) against the general
+    two-xgcd composition, which they must match pair for pair."""
 
     @pytest.mark.parametrize("C", [C_G1_F13, C_X5_1, C_G4_F81],
                              ids=["g1/GF13", "x5+1/GF11", "g4/GF81"])
@@ -365,3 +403,86 @@ class TestCompositionCases:
         del calls[:]
         jacobian._compose(C_G4_F81, sums[0], sums[0])
         assert len(calls) == 2
+
+    @pytest.mark.parametrize("C, pool", POOLS, ids=["g1/GF13", "g2/GF13", "g4/GF81"])
+    def test_ladder_multiples_hold_the_point(self, C, pool):
+        # [k]P = ((x - a)^k, v) for k <= g: the pairs exact_order builds
+        for P in pool[1:]:
+            D, minus = embed(C, P), embed(C, involution(P, C.ctx))
+            multiple = D
+            for k in range(1, C.g + 1):
+                assert multiple.u == D.u ** k
+                for E in (D, minus, multiple):
+                    assert cantor_add(C, multiple, E) == jacobian._compose(C, multiple, E)
+                    assert cantor_add(C, E, multiple) == jacobian._compose(C, E, multiple)
+                multiple = jacobian._compose(C, multiple, D)
+
+    @pytest.mark.parametrize("C, pool", POOLS[1:], ids=["g2/GF13", "g4/GF81"])
+    def test_two_torsion_point_in_the_support(self, C, pool):
+        W, Q = embed(C, pool[0]), embed(C, pool[1])
+        S = jacobian._compose(C, W, Q)
+        assert S.u.degree == 2 and S.u(pool[0].x) == C.ctx.zero
+        for D1, D2 in ((S, W), (W, S)):
+            assert cantor_add(C, D1, D2) == jacobian._compose(C, D1, D2) == Q
+
+    def test_higher_degree_doubling(self):
+        # gcd(u1, 2 v1) = 1 unless a 2-torsion point is in the support
+        for C, pool in POOLS[1:]:
+            gcd_is_one = set()
+            for S in _pool_sums(C, pool):
+                assert S.u.degree >= 2
+                gcd_is_one.add(S.u.xgcd(S.v + S.v)[0].degree == 0)
+                assert cantor_add(C, S, S) == jacobian._compose(C, S, S), S
+            assert gcd_is_one == {True, False}, C
+
+    def test_point_in_the_support_and_doubling_xgcd_count(self, monkeypatch):
+        cases = []
+        for C, pool in POOLS:
+            sums = _pool_sums(C, pool) if C.g >= 2 else []
+            for P in pool:
+                D = embed(C, P)
+                multiple = D
+                for _ in range(C.g):
+                    cases += [(C, multiple, D, 0), (C, D, neg(C, multiple), 0)]
+                    if multiple.u.degree >= 2:
+                        cases.append((C, multiple, multiple, 1))
+                    multiple = jacobian._compose(C, multiple, D)
+                cases += [(C, S, D, 0) for S in sums if S.u(P.x) == C.ctx.zero]
+            cases += [(C, S, S, 1) for S in sums]
+        assert {expected for *_, expected in cases} == {0, 1}
+        calls = _count_xgcd(monkeypatch)
+        for C, D1, D2, expected in cases:
+            del calls[:]
+            cantor_add(C, D1, D2)
+            assert len(calls) == expected, (D1, D2)
+
+
+@st.composite
+def _divisor_pairs(draw):
+    C, pool = draw(st.sampled_from(POOLS))
+    terms = st.lists(st.tuples(st.sampled_from(pool), st.integers(-C.g, C.g)),
+                     min_size=1, max_size=3)
+    D1 = _oracle_sum(C, draw(terms))
+    D2 = D1 if draw(st.booleans()) else _oracle_sum(C, draw(terms))
+    return C, D1, D2
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(case=_divisor_pairs())
+def test_cantor_add_matches_general_composition(case):
+    C, D1, D2 = case
+    assert cantor_add(C, D1, D2) == jacobian._compose(C, D1, D2)
+
+
+def test_census_runs_no_general_composition(monkeypatch):
+    calls = []
+    compose = jacobian._compose
+
+    def counting(*args):
+        calls.append(1)
+        return compose(*args)
+
+    monkeypatch.setattr(jacobian, "_compose", counting)
+    ok, detail = acceptance.criterion_2_census()
+    assert ok, detail
+    assert not calls
