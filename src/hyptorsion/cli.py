@@ -389,8 +389,17 @@ def cmd_selftest(args):
 
 # -- dispatch --------------------------------------------------------------
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """A usage error raises CliError("bad-args"), so it ends in the error
+    envelope with exit code 1; --help still prints and exits 0.  Subcommand
+    parsers are made from the same class."""
+
+    def error(self, message):
+        raise CliError("bad-args", f"{self.prog}: {message}")
+
+
 def build_parser():
-    ap = argparse.ArgumentParser(prog="hyptorsion", description=__doc__)
+    ap = _ArgumentParser(prog="hyptorsion", description=__doc__)
     sub = ap.add_subparsers(dest="command", required=True)
 
     def common(p, field=True, g=False):
@@ -473,9 +482,9 @@ def build_parser():
 
 
 def main(argv=None):
-    ap = build_parser()
-    args = ap.parse_args(argv)
+    args = None
     try:
+        args = build_parser().parse_args(argv)
         out = args.func(args)
         code = 0
         if len(out) == 3:

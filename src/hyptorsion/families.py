@@ -250,10 +250,6 @@ def find_good_mu(F, g, template, scan=None):
         extension_degree=2)
 
 
-def family_to_json(template, mu, F):
-    return template.to_json(mu=mu, F=F)
-
-
 def rational_four_torsion(g, partition: TotientPartition | None = None):
     """A genus-g curve over Q with four rational points of order 2g+1.
 

@@ -7,6 +7,11 @@ residue; a GF(p^m) element is its index sum(c_j p^j) over the coefficients
 c_j of its residue polynomial, so index order is canonical order.  Up to
 _TABLE_MAX elements, GF(p^m) arithmetic is exp/log/Zech-logarithm table
 lookup; above it, each operation reduces modulo the defining polynomial.
+
+Each field also owns the arithmetic of polynomials over it, on coefficient
+sequences (`poly_add`, ..., `poly_eval`): GF(p) hands them to the kernels,
+Q takes gcds by a primitive PRS over the integers, and GF(p^m) runs the
+generic loops over its element operations.
 """
 
 from __future__ import annotations
@@ -126,6 +131,99 @@ class Field:
     def to_json(self):
         raise NotImplementedError
 
+    # -- polynomials ---------------------------------------------------------
+    # A polynomial is a sequence of coefficients, lowest degree first.  The
+    # results carry no trailing zeros when the operands carry none; a divisor
+    # and the operands of poly_gcd and poly_xgcd must carry none.  These
+    # bodies are the generic loops over the element operations; a field with
+    # its own polynomial arithmetic overrides them.
+
+    def poly_add(self, a, b):
+        n = max(len(a), len(b))
+        return _trim(list(map(self.add, _pad(a, n, self.zero), _pad(b, n, self.zero))),
+                     self.zero)
+
+    def poly_sub(self, a, b):
+        n = max(len(a), len(b))
+        return _trim(list(map(self.sub, _pad(a, n, self.zero), _pad(b, n, self.zero))),
+                     self.zero)
+
+    def poly_mul(self, a, b):
+        if not a or not b:
+            return []
+        zero = self.zero
+        out = [zero] * (len(a) + len(b) - 1)
+        for i, x in enumerate(a):
+            if x == zero:
+                continue
+            for j, y in enumerate(b):
+                out[i + j] = self.add(out[i + j], self.mul(x, y))
+        return out
+
+    def poly_divmod(self, a, b):
+        if not b:
+            raise ZeroDivisionError("polynomial division by zero")
+        zero = self.zero
+        r = list(a)
+        db = len(b) - 1
+        if len(r) <= db:
+            return [], r
+        inv_lead = self.inv(b[-1])
+        q = [zero] * (len(r) - db)
+        for i in range(len(r) - 1, db - 1, -1):
+            c = r[i]
+            if c == zero:
+                continue
+            factor = self.mul(c, inv_lead)
+            q[i - db] = factor
+            for j in range(db + 1):
+                r[i - db + j] = self.sub(r[i - db + j], self.mul(factor, b[j]))
+        return _trim(q, zero), _trim(r[:db], zero)
+
+    def poly_gcd(self, a, b):
+        """The monic gcd, or the zero polynomial when both are zero."""
+        while b:
+            a, b = b, self.poly_divmod(a, b)[1]
+        return self._poly_monic(a)
+
+    def poly_xgcd(self, a, b):
+        """(g, s, t) with s*a + t*b = g, g monic (or zero)."""
+        r0, r1 = list(a), list(b)
+        s0, s1 = [self.one], []
+        t0, t1 = [], [self.one]
+        while r1:
+            q, r = self.poly_divmod(r0, r1)
+            r0, r1 = r1, r
+            s0, s1 = s1, self.poly_sub(s0, self.poly_mul(q, s1))
+            t0, t1 = t1, self.poly_sub(t0, self.poly_mul(q, t1))
+        if not r0:
+            return r0, s0, t0
+        inv = self.inv(r0[-1])
+        return tuple([self.mul(inv, c) for c in p] for p in (r0, s0, t0))
+
+    def poly_eval(self, a, x):
+        acc = self.zero
+        for c in reversed(a):
+            acc = self.add(self.mul(acc, x), c)
+        return acc
+
+    def _poly_monic(self, a):
+        if not a:
+            return []
+        inv = self.inv(a[-1])
+        return [self.mul(inv, c) for c in a]
+
+
+def _pad(a, n, zero):
+    return list(a) + [zero] * (n - len(a))
+
+
+def _trim(a, zero):
+    """Drop the trailing zeros of the list a, in place."""
+    while a and a[-1] == zero:
+        a.pop()
+    return a
+
 
 def _is_json_int(obj):
     return isinstance(obj, int) and not isinstance(obj, bool)
@@ -181,6 +279,20 @@ class Rationals(Field):
     def to_json(self):
         return {"kind": "Q"}
 
+    def poly_gcd(self, a, b):
+        """Primitive PRS on integer polynomials, which keeps coefficient
+        growth in check at large degree."""
+        fa, fb = _to_zz(a), _to_zz(b)
+        if not fa:
+            return self._poly_monic(b)
+        if not fb:
+            return self._poly_monic(a)
+        if len(fa) < len(fb):
+            fa, fb = fb, fa
+        while fb:
+            fa, fb = fb, _zz_primitive(_zz_prem(fa, fb))
+        return self._poly_monic([Fraction(c) for c in fa])
+
     def __eq__(self, other):
         return isinstance(other, Rationals)
 
@@ -189,6 +301,43 @@ class Rationals(Field):
 
     def __repr__(self):
         return "Q"
+
+
+def _to_zz(a):
+    """Primitive integer coefficient list of a rational polynomial."""
+    if not a:
+        return []
+    den = 1
+    for c in a:
+        den = den * c.denominator // math.gcd(den, c.denominator)
+    return _zz_primitive([int(c * den) for c in a])
+
+
+def _zz_primitive(a):
+    content = 0
+    for c in a:
+        content = math.gcd(content, c)
+    if content in (0, 1):
+        return list(a)
+    return [c // content for c in a]
+
+
+def _zz_prem(a, b):
+    """Pseudo-remainder of integer polynomials, lc(b)^(da-db+1) * a mod b."""
+    da, db = len(a) - 1, len(b) - 1
+    lead = b[-1]
+    r = list(a)
+    for i in range(da, db - 1, -1):
+        if len(r) - 1 < i:
+            r = [c * lead for c in r]
+            continue
+        c = r[i]
+        r = [v * lead for v in r]
+        for j in range(db + 1):
+            r[i - db + j] -= c * b[j]
+        while r and r[-1] == 0:
+            r.pop()
+    return r
 
 
 class FiniteFieldMixin:
@@ -314,6 +463,29 @@ class PrimeField(FiniteFieldMixin, Field):
 
     def to_json(self):
         return {"kind": "GF", "p": self.p}
+
+    # Polynomials over GF(p) are the kernels' lists of residues.
+
+    def poly_add(self, a, b):
+        return self._k.padd(list(a), list(b), self.p)
+
+    def poly_sub(self, a, b):
+        return self._k.psub(list(a), list(b), self.p)
+
+    def poly_mul(self, a, b):
+        return self._k.pmul(list(a), list(b), self.p)
+
+    def poly_divmod(self, a, b):
+        return self._k.pdivmod(list(a), list(b), self.p)
+
+    def poly_gcd(self, a, b):
+        return self._k.pgcd(list(a), list(b), self.p)
+
+    def poly_xgcd(self, a, b):
+        return self._k.pxgcd(list(a), list(b), self.p)
+
+    def poly_eval(self, a, x):
+        return self._k.peval(list(a), x, self.p)
 
     def __eq__(self, other):
         return isinstance(other, PrimeField) and other.p == self.p
@@ -596,7 +768,3 @@ def nth_roots_of_unity(F, n):
         acc = F.mul(acc, zeta)
         roots.append(acc)
     return roots
-
-
-def elem_sqrt(F, a):
-    return F.sqrt(a)

@@ -2,18 +2,15 @@
 
 Coefficients are stored ascending with no trailing zeros; the zero polynomial
 has an empty coefficient tuple and `degree` None (a sentinel, never used in
-arithmetic).  Prime-field polynomials route through the kernel backend; the
-rational gcd uses a primitive-PRS reduction on integer polynomials to keep
-coefficient growth in check at large degree.
+arithmetic).  `Poly` wraps the coefficient tuple; its ring operations,
+division, gcds and evaluation are the field context's `poly_*` methods, so
+the field alone decides which arithmetic backs its polynomials.
 """
 
 from __future__ import annotations
 
-import math
-from fractions import Fraction
-
 from . import kernels
-from .fields import Field, PrimeField, Rationals
+from .fields import Field, Rationals, _to_zz
 
 
 class Poly:
@@ -91,52 +88,20 @@ class Poly:
                 terms.append(f"({c})*x^{i}" if not _is_one(self.ctx, c) else f"x^{i}")
         return "Poly(" + " + ".join(terms) + ")"
 
-    # -- ring operations ---------------------------------------------------
-
-    def _kp(self):
-        # (kernel, prime) for the prime-field fast path, else None.
-        ctx = self.ctx
-        if isinstance(ctx, PrimeField):
-            return ctx._k, ctx.p
-        return None
+    # -- ring operations: the field context owns the arithmetic -------------
 
     def __add__(self, other):
-        kp = self._kp()
-        if kp:
-            k, p = kp
-            return Poly(self.ctx, k.padd(list(self.coeffs), list(other.coeffs), p))
-        ctx = self.ctx
-        n = max(len(self.coeffs), len(other.coeffs))
-        return Poly(ctx, [ctx.add(self.coeff(i), other.coeff(i)) for i in range(n)])
+        return Poly(self.ctx, self.ctx.poly_add(self.coeffs, other.coeffs))
 
     def __sub__(self, other):
-        kp = self._kp()
-        if kp:
-            k, p = kp
-            return Poly(self.ctx, k.psub(list(self.coeffs), list(other.coeffs), p))
-        ctx = self.ctx
-        n = max(len(self.coeffs), len(other.coeffs))
-        return Poly(ctx, [ctx.sub(self.coeff(i), other.coeff(i)) for i in range(n)])
+        return Poly(self.ctx, self.ctx.poly_sub(self.coeffs, other.coeffs))
 
     def __neg__(self):
         ctx = self.ctx
         return Poly(ctx, [ctx.neg(c) for c in self.coeffs])
 
     def __mul__(self, other):
-        kp = self._kp()
-        if kp:
-            k, p = kp
-            return Poly(self.ctx, k.pmul(list(self.coeffs), list(other.coeffs), p))
-        if self.is_zero or other.is_zero:
-            return Poly.zero(self.ctx)
-        ctx = self.ctx
-        out = [ctx.zero] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a == ctx.zero:
-                continue
-            for j, b in enumerate(other.coeffs):
-                out[i + j] = ctx.add(out[i + j], ctx.mul(a, b))
-        return Poly(ctx, out)
+        return Poly(self.ctx, self.ctx.poly_mul(self.coeffs, other.coeffs))
 
     def scale(self, c):
         ctx = self.ctx
@@ -145,30 +110,8 @@ class Poly:
         return Poly(ctx, [ctx.mul(c, v) for v in self.coeffs])
 
     def __divmod__(self, other):
-        if other.is_zero:
-            raise ZeroDivisionError("polynomial division by zero")
-        kp = self._kp()
-        if kp:
-            k, p = kp
-            q, r = k.pdivmod(list(self.coeffs), list(other.coeffs), p)
-            return Poly(self.ctx, q), Poly(self.ctx, r)
-        ctx = self.ctx
-        r = list(self.coeffs)
-        b = other.coeffs
-        db = len(b) - 1
-        if len(r) <= db:
-            return Poly.zero(ctx), Poly(ctx, r)
-        inv_lead = ctx.inv(b[-1])
-        q = [ctx.zero] * (len(r) - db)
-        for i in range(len(r) - 1, db - 1, -1):
-            c = r[i]
-            if c == ctx.zero:
-                continue
-            factor = ctx.mul(c, inv_lead)
-            q[i - db] = factor
-            for j in range(db + 1):
-                r[i - db + j] = ctx.sub(r[i - db + j], ctx.mul(factor, b[j]))
-        return Poly(ctx, q), Poly(ctx, r[:db])
+        q, r = self.ctx.poly_divmod(self.coeffs, other.coeffs)
+        return Poly(self.ctx, q), Poly(self.ctx, r)
 
     def __floordiv__(self, other):
         return divmod(self, other)[0]
@@ -195,37 +138,12 @@ class Poly:
         return self.scale(self.ctx.inv(self.leading))
 
     def gcd(self, other):
-        kp = self._kp()
-        if kp:
-            k, p = kp
-            return Poly(self.ctx, k.pgcd(list(self.coeffs), list(other.coeffs), p))
-        if isinstance(self.ctx, Rationals):
-            return _qq_gcd(self, other)
-        a, b = self, other
-        while not b.is_zero:
-            a, b = b, a % b
-        return a.monic()
+        return Poly(self.ctx, self.ctx.poly_gcd(self.coeffs, other.coeffs))
 
     def xgcd(self, other):
         """(g, s, t) with s*self + t*other = g, g monic (or zero)."""
-        kp = self._kp()
-        if kp:
-            k, p = kp
-            g, s, t = k.pxgcd(list(self.coeffs), list(other.coeffs), p)
-            return Poly(self.ctx, g), Poly(self.ctx, s), Poly(self.ctx, t)
-        ctx = self.ctx
-        r0, r1 = self, other
-        s0, s1 = Poly.const(ctx, ctx.one), Poly.zero(ctx)
-        t0, t1 = Poly.zero(ctx), Poly.const(ctx, ctx.one)
-        while not r1.is_zero:
-            q, r = divmod(r0, r1)
-            r0, r1 = r1, r
-            s0, s1 = s1, s0 - q * s1
-            t0, t1 = t1, t0 - q * t1
-        if r0.is_zero:
-            return r0, s0, t0
-        inv = ctx.inv(r0.leading)
-        return r0.scale(inv), s0.scale(inv), t0.scale(inv)
+        g, s, t = self.ctx.poly_xgcd(self.coeffs, other.coeffs)
+        return Poly(self.ctx, g), Poly(self.ctx, s), Poly(self.ctx, t)
 
     def derivative(self):
         ctx = self.ctx
@@ -235,15 +153,7 @@ class Poly:
         return Poly(ctx, out)
 
     def __call__(self, x0):
-        kp = self._kp()
-        if kp:
-            k, p = kp
-            return k.peval(list(self.coeffs), x0, p)
-        ctx = self.ctx
-        acc = ctx.zero
-        for c in reversed(self.coeffs):
-            acc = ctx.add(ctx.mul(acc, x0), c)
-        return acc
+        return self.ctx.poly_eval(self.coeffs, x0)
 
     def shift(self, c):
         """Substitute x -> x + c (Horner on the shifted variable)."""
@@ -279,94 +189,6 @@ def _is_one(ctx, c):
     return c == ctx.one
 
 
-# -- rational gcd via primitive PRS on integer polynomials -----------------
-
-def _to_zz(p: Poly):
-    """Primitive integer coefficient list of a rational polynomial."""
-    if p.is_zero:
-        return []
-    den = 1
-    for c in p.coeffs:
-        den = den * c.denominator // math.gcd(den, c.denominator)
-    ints = [int(c * den) for c in p.coeffs]
-    content = 0
-    for c in ints:
-        content = math.gcd(content, c)
-    return [c // content for c in ints]
-
-
-def _zz_primitive(a):
-    content = 0
-    for c in a:
-        content = math.gcd(content, c)
-    if content in (0, 1):
-        return list(a)
-    return [c // content for c in a]
-
-
-def _zz_mul_scalar(a, s):
-    return [c * s for c in a]
-
-
-def _zz_prem(a, b):
-    """Pseudo-remainder of integer polynomials, lc(b)^(da-db+1) * a mod b."""
-    da, db = len(a) - 1, len(b) - 1
-    lead = b[-1]
-    r = list(a)
-    for i in range(da, db - 1, -1):
-        if len(r) - 1 < i:
-            r = _zz_mul_scalar(r, lead)
-            continue
-        c = r[i]
-        r = _zz_mul_scalar(r, lead)
-        for j in range(db + 1):
-            r[i - db + j] -= c * b[j]
-        while r and r[-1] == 0:
-            r.pop()
-    return r
-
-
-def _qq_gcd(a: Poly, b: Poly) -> Poly:
-    ctx = a.ctx
-    fa, fb = _to_zz(a), _to_zz(b)
-    if not fa:
-        return b.monic()
-    if not fb:
-        return a.monic()
-    if len(fa) < len(fb):
-        fa, fb = fb, fa
-    while fb:
-        r = _zz_prem(fa, fb)
-        fa, fb = fb, _zz_primitive(r)
-    return Poly(ctx, [Fraction(c) for c in fa]).monic()
-
-
-# -- spec-level operations -------------------------------------------------
-
-def poly_divrem(a: Poly, b: Poly):
-    return divmod(a, b)
-
-
-def poly_gcd(a: Poly, b: Poly) -> Poly:
-    return a.gcd(b)
-
-
-def poly_derivative(a: Poly) -> Poly:
-    return a.derivative()
-
-
-def poly_eval(a: Poly, x0):
-    return a(x0)
-
-
-def poly_shift(a: Poly, c) -> Poly:
-    return a.shift(c)
-
-
-def poly_scale_arg(a: Poly, s) -> Poly:
-    return a.scale_arg(s)
-
-
 _SQFREE_PRIMES = (10007, 10009, 10037, 10039, 10061)
 
 
@@ -382,7 +204,7 @@ def is_squarefree(f: Poly) -> bool:
     if isinstance(f.ctx, Rationals):
         # A squarefree modular image certifies squarefreeness over Q; the
         # exact PRS gcd decides the (rare) remaining cases.
-        ints = _to_zz(f)
+        ints = _to_zz(f.coeffs)
         for p in _SQFREE_PRIMES:
             if ints[-1] % p == 0:
                 continue

@@ -9,6 +9,7 @@ identity checking; the Jacobian oracle is the independent cross-check.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .fields import InsufficientFieldError
@@ -130,11 +131,6 @@ class EnhancedCurve:
         if self.P.x == self.Q.x:
             raise CertError("marked points must have distinct abscissas")
 
-    @property
-    def is_normalized(self):
-        ctx = self.C.ctx
-        return self.P.x == ctx.zero and self.Q.x == ctx.neg(ctx.one)
-
 
 @dataclass(frozen=True)
 class IsoMap:
@@ -148,12 +144,6 @@ class IsoMap:
         x1 = ctx.div(ctx.sub(P.x, self.r), lam2)
         y1 = ctx.div(P.y, ctx.pow_el(self.lam, 2 * g + 1))
         return AffinePoint(x1, y1)
-
-    def apply_curve_poly(self, ctx, g, f):
-        # f1(x) = f(lam^2 x + r) / lam^{2(2g+1)}
-        lam2 = ctx.mul(self.lam, self.lam)
-        return f.shift(self.r).scale_arg(lam2).scale(
-            ctx.inv(ctx.pow_el(lam2, 2 * g + 1)))
 
 
 def make_single(ctx, g, a, v: Poly):
@@ -294,10 +284,14 @@ def torsion_census(C: Curve, n: int):
     """All affine points of exact order n, with orders, sorted canonically.
 
     Exhaustive over the base field; Q contexts are rejected as unenumerable.
+    A point's order divides #J(GF(q)) <= (sqrt(q) + 1)^(2g), so an n above
+    (isqrt(q) + 2)^(2g) has no point and runs no Cantor ladder.
     """
     ctx = C.ctx
     if not ctx.is_finite:
         raise ValueError("census requires a finite field")
+    if n > (math.isqrt(ctx.order) + 2) ** (2 * C.g):
+        return []
     found = []
     for x0 in ctx.elements():
         for pt in points_with_x(C, x0):

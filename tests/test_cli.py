@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -233,6 +234,10 @@ class TestCommands:
          "--curve", "x^3+2*x+1"],
         ["construct-single", "--field", "GF:2147483659,24", "--g", "1",
          "--a", "[0]", "--v", "[[1]]"],
+        ["census", "--p", "3"],
+        ["census", "--p", "x", "--g", "1", "--n", "3", "--curve", "x^3+1"],
+        ["no-such-command"],
+        [],
     ])
     def test_malformed_input_gives_error_envelope(self, capsys, tmp_path,
                                                   monkeypatch, argv):
@@ -309,6 +314,23 @@ class TestCommands:
         for pm in (["--p", "3", "--m", "3"], ["--p", "29"]):
             code, out = run(capsys, census + pm)
             assert (code, out["code"]) == (1, "bad-args"), pm
+
+    def test_census_order_above_jacobian_bound(self, capsys):
+        # 10^9 + 7 > (isqrt(3^8) + 2)^2 >= #J(GF(3^8)): no ladder runs
+        start = time.perf_counter()
+        code, out = run(capsys, ["census", "--p", "3", "--m", "8", "--g", "1",
+                                 "--n", "1000000007", "--curve", "x^3+2*x+1"])
+        assert time.perf_counter() - start < 1.0
+        assert (code, out["payload"]["count"]) == (0, 0), out
+
+    def test_usage_error_is_bad_args_and_help_exits_0(self, capsys):
+        code, out = run(capsys, ["census", "--p", "3"])
+        assert (code, out["code"]) == (1, "bad-args")
+        assert "--curve" in out["message"]
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["census", "--help"])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: hyptorsion census")
 
 
 # -- commands in a fresh process ----------------------------------------------

@@ -4,7 +4,7 @@ import pytest
 
 from hyptorsion.families import (AdmissibleFn, CharTemplate, CoprimeTemplate,
                                  admissible_enum, char_templates, eta_roots,
-                                 family_to_json, find_good_mu, mu_candidates,
+                                 find_good_mu, mu_candidates,
                                  nice_pairs_coprime, rational_four_torsion,
                                  symmetry_classes, upsilon_ij_enum)
 from hyptorsion.fields import ExtField, FieldError, PrimeField, Rationals
@@ -62,7 +62,7 @@ class TestCoprimeTemplates:
     def test_family_json(self):
         t = next(iter(nice_pairs_coprime(F11, 2)))
         mu, _, _ = find_good_mu(F11, 2, t)
-        j = family_to_json(t, mu, F11)
+        j = t.to_json(mu=mu, F=F11)
         assert j["regime"] == "coprime" and j["I"] == [0, 1] and "mu" in j
 
 
@@ -120,7 +120,7 @@ class TestCharRegime:
             mu, cert, enh = find_good_mu(E, 7, t)
             D = embed(enh.C, enh.P)
             assert exact_order(enh.C, D, 15) == 15
-            j = family_to_json(t, mu, E)
+            j = t.to_json(mu=mu, F=E)
             assert j["regime"] == "char" and sorted(j["upsilon"]) == [1, 1, 2, 2]
 
 

@@ -53,3 +53,9 @@ def test_unknown_name_raises_attribute_error():
     with pytest.raises(AttributeError, match="no_such_name"):
         hyptorsion.no_such_name  # noqa: B018
     assert not hasattr(hyptorsion, "weil")
+
+
+def test_fields_own_polynomial_arithmetic():
+    from hyptorsion import polyring
+    assert not hasattr(polyring.Poly, "_kp")
+    assert not hasattr(polyring, "PrimeField")

@@ -1,5 +1,6 @@
 import json
 import os
+import random
 import re
 import shutil
 import subprocess
@@ -12,7 +13,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hyptorsion.fields import ExtField, PrimeField, Rationals
+from hyptorsion import fields
+from hyptorsion.fields import ExtField, Field, PrimeField, Rationals
 from hyptorsion.polyring import (Poly, cyclotomic, diff_power, is_squarefree,
                                  poly_sqrt, reverse_scale)
 
@@ -228,6 +230,140 @@ class TestDiffPower:
             diff_power(F11, 3, 3, 5)
         with pytest.raises(ValueError):
             diff_power(F11, 0, 1, 4)
+
+
+# -- the fields' polynomial arithmetic ------------------------------------------
+
+POLY_FIELDS = {
+    "GF(11)": lambda: F11,
+    "GF(10007)": lambda: PrimeField(10007),
+    "GF(3^4)": lambda: ExtField(3, 4),
+    "GF(3^4)-untabled": lambda: ExtField(3, 4),     # built with _TABLE_MAX = 0
+    "GF(97^2)": lambda: ExtField(97, 2),
+    "Q": lambda: QQ,
+}
+
+
+@pytest.fixture(params=list(POLY_FIELDS))
+def poly_field(request, monkeypatch):
+    with monkeypatch.context() as mp:
+        if request.param.endswith("untabled"):
+            mp.setattr(fields, "_TABLE_MAX", 0)
+        F = POLY_FIELDS[request.param]()
+    assert (getattr(F, "_log", None) is None) == (request.param != "GF(3^4)")
+    return F
+
+
+def _elem(F, rng, nonzero=False):
+    while True:
+        a = (rng.randrange(F.order) if F.is_finite
+             else Fraction(rng.randint(-9, 9), rng.randint(1, 4)))
+        if a != F.zero or not nonzero:
+            return a
+
+
+def _operands(F, seed):
+    """Trimmed operands (zero, constants, random polynomials with zero
+    coefficients mixed in, a negation and two products with a common factor)
+    and untrimmed ones (trailing zeros, the zero polynomial among them)."""
+    rng = random.Random(seed)
+    trimmed = [[], [F.one], [_elem(F, rng, nonzero=True)]]
+    for deg in range(1, 7):
+        trimmed.append([_elem(F, rng) if rng.random() < 0.7 else F.zero
+                        for _ in range(deg)] + [_elem(F, rng, nonzero=True)])
+    trimmed.append([F.neg(c) for c in trimmed[-1]])
+    for other in trimmed[5:7]:
+        trimmed.append(Field.poly_mul(F, trimmed[4], other))
+    untrimmed = [[F.zero], [F.zero, F.zero]]
+    untrimmed += [a + [F.zero] * rng.randint(1, 2) for a in trimmed[1:6]]
+    return trimmed, untrimmed
+
+
+def _lists(r):
+    return [_lists(x) for x in r] if isinstance(r, (list, tuple)) else r
+
+
+def _trim(a, zero):
+    a = list(a)
+    while a and a[-1] == zero:
+        a.pop()
+    return a
+
+
+class TestFieldPolyArithmetic:
+    """Every field's poly_* against the generic loops of the Field base
+    class, the oracle for each override."""
+
+    def test_overrides_match_generic_bodies(self, poly_field):
+        F = poly_field
+        trimmed, untrimmed = _operands(F, repr(F))
+        xs = [F.zero, F.one, _elem(F, random.Random(1), nonzero=True)]
+
+        def agree(name, *args):
+            got, want = getattr(F, name)(*args), getattr(Field, name)(F, *args)
+            assert _lists(got) == _lists(want), (name, args)
+            return got
+
+        for a in trimmed:
+            for x in xs:
+                agree("poly_eval", a, x)
+            for b in trimmed:
+                for name in ("poly_add", "poly_sub", "poly_mul", "poly_gcd",
+                             "poly_xgcd"):
+                    agree(name, a, b)
+                if b:
+                    agree("poly_divmod", a, b)
+        for a in untrimmed:
+            for x in xs:
+                agree("poly_eval", a, x)
+            for b in trimmed + untrimmed:
+                for name in ("poly_add", "poly_sub", "poly_mul"):
+                    for args in ((a, b), (b, a)):
+                        got = getattr(F, name)(*args)
+                        want = getattr(Field, name)(F, *args)
+                        assert _trim(got, F.zero) == _trim(want, F.zero), (name, args)
+            for b in trimmed[1:]:
+                got, want = F.poly_divmod(a, b), Field.poly_divmod(F, a, b)
+                assert ([_trim(r, F.zero) for r in got]
+                        == [_trim(r, F.zero) for r in want]), (a, b)
+
+    def test_division_by_zero_raises(self, poly_field):
+        F = poly_field
+        trimmed, untrimmed = _operands(F, 7)
+        for a in trimmed + untrimmed:
+            for divmod_ in (F.poly_divmod, lambda a, b: Field.poly_divmod(F, a, b)):
+                with pytest.raises(ZeroDivisionError):
+                    divmod_(a, [])
+
+    def test_xgcd_is_monic_bezout(self, poly_field):
+        F = poly_field
+        trimmed, _ = _operands(F, 11)
+        for a in trimmed:
+            for b in trimmed:
+                g, s, t = F.poly_xgcd(a, b)
+                g = list(g)
+                assert not g or g[-1] == F.one, (a, b)
+                bezout = Field.poly_add(F, Field.poly_mul(F, s, a),
+                                        Field.poly_mul(F, t, b))
+                assert bezout == g, (a, b)
+                if g:
+                    for c in (a, b):
+                        assert Field.poly_divmod(F, c, g)[1] == [], (c, g)
+
+    def test_tables_do_not_change_polynomials(self, monkeypatch):
+        F = ExtField(3, 4)
+        with monkeypatch.context() as mp:
+            mp.setattr(fields, "_TABLE_MAX", 0)
+            K = ExtField(3, 4, modulus=F.modulus)
+        trimmed, _ = _operands(F, 3)
+        for a in trimmed:
+            assert F.poly_eval(a, 5) == K.poly_eval(a, 5)
+            for b in trimmed:
+                for name in ("poly_add", "poly_sub", "poly_mul", "poly_xgcd"):
+                    assert (_lists(getattr(F, name)(a, b))
+                            == _lists(getattr(K, name)(a, b))), (name, a, b)
+                if b:
+                    assert F.poly_divmod(a, b) == K.poly_divmod(a, b)
 
 
 ROOT = Path(__file__).resolve().parent.parent

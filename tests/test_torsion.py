@@ -1,8 +1,10 @@
 import itertools
+import math
 import random
 
 import pytest
 
+from hyptorsion import torsion
 from hyptorsion.fields import (ExtField, InsufficientFieldError, PrimeField,
                                Rationals)
 from hyptorsion.jacobian import (Curve, NotSquarefreeError, embed, exact_order,
@@ -251,3 +253,23 @@ class TestCensus:
         C = Curve(QQ, 1, x ** 3 + Poly.const(QQ, QQ.one))
         with pytest.raises(ValueError):
             torsion_census(C, 3)
+
+    def test_order_bound(self, monkeypatch):
+        # y^2 = x^3 + 4x^2 + 3x + 2 over GF(7): 12 points of order 13, the
+        # largest point order (found by repeated addition), against the
+        # census bound (isqrt(7) + 2)^2 = 16 on #J.
+        F7 = PrimeField(7)
+        C = Curve(F7, 1, Poly.from_ints(F7, [2, 3, 4, 1]))
+        bound = (math.isqrt(7) + 2) ** 2
+        calls = []
+
+        def counting(C, D, n):
+            calls.append(n)
+            return exact_order(C, D, n)
+
+        monkeypatch.setattr(torsion, "exact_order", counting)
+        assert len(torsion_census(C, 13)) == 12 and calls
+        del calls[:]
+        assert torsion_census(C, bound) == [] and calls
+        del calls[:]
+        assert torsion_census(C, bound + 1) == [] and not calls
