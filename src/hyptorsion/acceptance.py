@@ -313,7 +313,8 @@ EXPECTED_FAIL = {
 }
 
 
-def run_all(verbose=False):
+def run_all():
+    """(name, ok, detail, seconds) per criterion, each also printed to stderr."""
     results = []
     for name, fn in CRITERIA:
         t0 = time.time()
@@ -323,10 +324,8 @@ def run_all(verbose=False):
             ok, detail = False, f"{type(exc).__name__}: {exc}"
         secs = time.time() - t0
         results.append((name, ok, detail, secs))
-        if verbose:
-            status = "PASS" if ok else "FAIL"
-            if not ok and name in EXPECTED_FAIL:
-                status = "FAIL (expected)"
-            print(f"{status:>15}  {name}  [{secs:.2f}s]  {detail}",
-                  file=sys.stderr)
+        status = "PASS" if ok else "FAIL"
+        if not ok and name in EXPECTED_FAIL:
+            status = "FAIL (expected)"
+        print(f"{status:>15}  {name}  [{secs:.2f}s]  {detail}", file=sys.stderr)
     return results

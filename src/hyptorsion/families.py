@@ -193,12 +193,6 @@ class CharTemplate:
         bar = self.ups.bar
         u2 = _linear_product(F, self.labels, all_idx, bar.values).scale(
             F.div(F.coerce(2 * self.ups.l + 1), mu))
-        n = 2 * self.g + 1
-        x1, x = Poly(F, [F.one, F.one]), Poly.x(F)
-        if u1 * u2 != x1 ** n - x ** n:
-            raise CertError("upsilon pair fails the (x+1)^n - x^n identity")
-        if u1.derivative().is_zero or u2.derivative().is_zero:
-            raise CertError("upsilon pair has a zero derivative")
         return u1, u2
 
     def to_json(self, mu=None, F=None):
@@ -229,13 +223,13 @@ def mu_candidates(F):
             n += 1
 
 
-def find_good_mu(F, g, template, scan=None):
+def find_good_mu(F, g, template):
     """First mu (in scan order) making f squarefree; returns the scalar and
     the enhanced curve.  A finite field can run out: only finitely many mu
-    are bad, so a degree-2 extension is recommended on exhaustion."""
-    candidates = scan if scan is not None else mu_candidates(F)
+    are bad, so a degree-2 extension is recommended on exhaustion, as it is
+    for a template that PairCert or make_pair refuses at every mu."""
     zero, minus1 = F.zero, F.neg(F.one)
-    for mu in candidates:
+    for mu in mu_candidates(F):
         if mu == zero:
             continue
         try:

@@ -715,8 +715,6 @@ def field_make(spec, seed=0):
 
     Accepts {"kind":"Q"} or {"kind":"GF","p":...[,"m":...,"modulus":[...]]}.
     """
-    if isinstance(spec, Field):
-        return spec
     kind = spec.get("kind")
     if kind == "Q":
         return Rationals()

@@ -1,3 +1,4 @@
+import collections
 import contextlib
 import io
 import json
@@ -465,3 +466,72 @@ def test_every_argv_prints_one_envelope(argv, tmp_path_factory):
         assert {"status", "code", "message", "backend"} <= set(out)
         assert set(out) <= {"status", "code", "message", "backend",
                             "extension_degree"}
+
+
+# -- --seed, --max and the kernel operand contract ---------------------------
+
+@pytest.mark.parametrize("argv", [["selftest", "--seed", "1"],
+                                  ["hyperelliptic", "--n", "105", "--seed", "1"],
+                                  ["rational-g52", "--seed", "1"]])
+def test_seed_is_refused_where_no_field_is_built(capsys, argv):
+    code, out = run(capsys, argv)
+    assert code == 1 and out["status"] == "error" and out["code"] == "bad-args"
+
+
+@pytest.mark.parametrize("seed", ["0", "1"])
+def test_census_takes_a_seed(capsys, seed):
+    code, out = run(capsys, ["census", "--p", "3", "--m", "4", "--g", "1",
+                             "--curve", "x^3+(x+1)^2", "--n", "3", "--seed", seed])
+    assert code == 0
+    assert out["payload"]["points"] == [{"x": [0, 0, 0, 0], "y": [1, 0, 0, 0]},
+                                        {"x": [0, 0, 0, 0], "y": [2, 0, 0, 0]}]
+
+
+def test_hyperelliptic_max_bound(capsys):
+    # TestCommands.test_hyperelliptic_scan pins --max 201 below the bound
+    for bound in ("200001", str(cli.MAX_HYPERELLIPTIC_SCAN + 1)):
+        start = time.perf_counter()
+        code, out = run(capsys, ["hyperelliptic", "--max", bound])
+        assert time.perf_counter() - start < 1
+        assert code == 1 and out["code"] == "bad-args"
+
+
+# The pure and compiled kernels agree only on operands without trailing
+# zeros: on [1, 0] the pure pmul keeps a trailing zero in its product, the
+# compiled pxgcd returns a gcd [1] with no Bezout pair, and the pure pinvmod
+# does not end.
+KERNELS = ("padd", "psub", "pneg", "pscale", "pmul", "pdivmod", "pmonic",
+           "pgcd", "pxgcd", "peval", "pmulmod", "ppowmod", "pinvmod")
+
+
+@pytest.mark.parametrize("tabled", [True, False])
+def test_kernel_operands_carry_no_trailing_zeros(capsys, monkeypatch, tabled):
+    from hyptorsion import fields, kernels
+    kmod = kernels.for_prime(3)
+    assert kmod is kernels.for_prime(11)
+    calls, untrimmed = collections.Counter(), []
+
+    def checked(name, fn):
+        def call(*args):
+            calls[name] += 1
+            untrimmed.extend((name, a) for a in args
+                             if isinstance(a, list) and a and a[-1] == 0)
+            return fn(*args)
+        return call
+
+    for name in KERNELS:
+        monkeypatch.setattr(kmod, name, checked(name, getattr(kmod, name)))
+    monkeypatch.setattr(fields, "_TABLES", {})
+    if not tabled:   # GF(3^4) element arithmetic then runs on the kernels
+        monkeypatch.setattr(fields, "_TABLE_MAX", 0)
+    for argv in (["census", "--p", "3", "--m", "4", "--g", "1",
+                  "--curve", "x^3+(x+1)^2", "--n", "3"],
+                 ["weil", "--field", "GF:11", "--g", "2", "--I", "0,1"],
+                 ["find-mu", "--field", "GF:3,4", "--g", "7", "--regime", "char",
+                  "--p", "3", "--k", "1", "--l", "2", "--index", "1"]):
+        code, out = run(capsys, argv)
+        assert code == 0, out
+    assert untrimmed == []
+    assert {"pmul", "pdivmod", "pxgcd", "ppowmod"} <= set(calls)
+    if not tabled:
+        assert {"pmulmod", "pinvmod"} <= set(calls)

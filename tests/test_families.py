@@ -3,11 +3,12 @@ from fractions import Fraction
 import pytest
 
 from hyptorsion.families import (AdmissibleFn, CharTemplate, CoprimeTemplate,
-                                 admissible_enum, char_templates, eta_roots,
-                                 find_good_mu, mu_candidates,
+                                 RootLabel, admissible_enum, char_templates,
+                                 eta_roots, find_good_mu, mu_candidates,
                                  nice_pairs_coprime, rational_four_torsion,
                                  symmetry_classes, upsilon_ij_enum)
-from hyptorsion.fields import ExtField, FieldError, PrimeField, Rationals
+from hyptorsion.fields import (ExtField, FieldError, InsufficientFieldError,
+                               PrimeField, Rationals)
 from hyptorsion.jacobian import embed, exact_order
 from hyptorsion.polyring import Poly
 from hyptorsion.torsion import QSideDegeneracyError, verify_single
@@ -122,6 +123,15 @@ class TestCharRegime:
             assert exact_order(enh.C, D, 15) == 15
             j = t.to_json(mu=mu, F=E)
             assert j["regime"] == "char" and sorted(j["upsilon"]) == [1, 1, 2, 2]
+
+    def test_perturbed_labels_exhaust_the_scan(self):
+        # u1*u2 misses (x+1)^15 - x^15 for every mu; PairCert refuses each one
+        E = ExtField(3, 4)
+        t = next(char_templates(E, 3, 1, 2))
+        eps, eta = t.labels[0].eps, t.labels[0].eta
+        labels = (RootLabel(eps, E.add(eta, E.one)),) + t.labels[1:]
+        with pytest.raises(InsufficientFieldError):
+            find_good_mu(E, 7, CharTemplate(t.ups, labels))
 
 
 class TestRationalFamilies:

@@ -7,8 +7,8 @@ import pytest
 from hyptorsion import torsion
 from hyptorsion.fields import (ExtField, InsufficientFieldError, PrimeField,
                                Rationals)
-from hyptorsion.jacobian import (Curve, NotSquarefreeError, embed, exact_order,
-                                 involution, points_with_x)
+from hyptorsion.jacobian import (Curve, DegreeError, NotSquarefreeError, embed,
+                                 exact_order, involution, points_with_x)
 from hyptorsion.polyring import Poly
 from hyptorsion.torsion import (CertError, PairCert, QSideDegeneracyError,
                                 decorations_of, make_pair, make_single,
@@ -108,6 +108,11 @@ class TestPairs:
         assert enh.P.x == 0 and enh.Q.x == 10
         back = recover_pair(enh.C, enh.P, enh.Q)
         assert back.u1 == cert.u1 and back.u2 == cert.u2
+
+    def test_make_pair_refuses_another_genus(self):
+        cert = _template_cert(F11, 2, (0, 1), F11.coerce(2))
+        with pytest.raises(DegreeError):
+            make_pair(F11, 3, cert)
 
     def test_same_abscissa_rejected(self):
         C, P, _ = make_single(F5, 2, 0, Poly.from_ints(F5, [1, 1]))
