@@ -1,14 +1,11 @@
 """Pure-Python kernels for dense polynomial arithmetic over GF(p).
 
 A polynomial is a list of ints in [0, p), ascending degree, with no trailing
-zeros; the empty list is the zero polynomial.  These functions are the
-fallback twin of the compiled extension ``hyptorsion._kernel`` and must stay
-behaviourally identical to it (the benchmark and the test suite run both).
+zeros; the empty list is the zero polynomial.  Callers pass only such
+trimmed operands.
 """
 
 from __future__ import annotations
-
-IS_COMPILED = False
 
 
 def ptrim(a):

@@ -4,10 +4,10 @@ Polynomials are accepted either as JSON coefficient arrays (ascending) or in
 a restricted human syntax like "x^5+(x+1)^2"; fields as "Q", "GF:p" or
 "GF:p,m".  Every command prints a CommandResult object
 {"status": ..., "payload": ..., "provenance": ..., "backend": ...} and exits 0
-on success; "backend" names the GF(p) kernels that ran ("compiled" or "pure").
+on success; "backend" names the GF(p) kernels that ran, always "pure".
 
 Importing this module loads only the core (fields, polyring, jacobian,
-torsion, kernels); a command that needs families, pairing, numth or the
+torsion and the kernels); a command that needs families, pairing, numth or the
 acceptance suite imports it when it runs.
 """
 
@@ -47,13 +47,13 @@ def parse_field(spec: str, seed=0):
 
 
 # The largest extension degree m accepted for GF(p^m): GF(3^32) takes about
-# half a second to build on the pure backend, GF(3^40) about two.
+# half a second to build, GF(3^40) about two.
 MAX_EXT_DEGREE = 32
 
 # GF(p^m) may have at most 2^MAX_FIELD_BITS elements.  The search for a
-# modulus also grows with p: on the pure backend GF(13^32) (118 bits) takes
-# about a second to build, GF(257^32) (256 bits) about three and
-# GF(2147483659^24) (744 bits) about six.
+# modulus also grows with p: GF(13^32) (118 bits) takes about a second to
+# build, GF(257^32) (256 bits) about three and GF(2147483659^24) (744 bits)
+# about six.
 MAX_FIELD_BITS = 128
 
 # The largest field a census may enumerate.  Over GF(3^8) (6,561 elements) a
@@ -65,6 +65,21 @@ MAX_CENSUS_ORDER = 2 ** 13
 # about as max^1.8: --max 5000 takes about 2 s, 10,000 about 8 s, and
 # 200,000 did not end within two minutes.
 MAX_HYPERELLIPTIC_SCAN = 5000
+
+# The largest --n a hyperelliptic certificate search may take.  Above 20
+# divisors the search first runs a subset-sum pass over a bitset of (n-1)/2
+# bits: near 10^8 (99998745, 32 divisors) it takes 0.3 s and 50 MB, and its
+# memory grows with n.  The factoring is trial division: 2^61 - 1 did not end
+# within 20 s.
+MAX_HYPERELLIPTIC_N = 10 ** 8
+
+# The most divisors --n may have.  The search tries subsets of the divisors
+# in increasing size until their totients sum to (n-1)/2, so its cost grows
+# with the count: 45045 (48 divisors) takes 0.2 s, 143325 (54) 2 s, 208845
+# (64) 4.8 s, and 405405 (80) and 765765 (96) did not end within 15 s.  It
+# grows with the size of the smallest certificate too, which this bound does
+# not limit: 99645 (32 divisors, certificate of 9) did not end within 10 s.
+MAX_HYPERELLIPTIC_DIVISORS = 48
 
 
 def make_field(spec, seed):
@@ -334,7 +349,8 @@ def cmd_rational_g52(args):
 
 
 def cmd_hyperelliptic(args):
-    from .numth import hyperelliptic_cert, hyperelliptic_scan, overq_filter
+    from .numth import (divisors, hyperelliptic_cert, hyperelliptic_scan,
+                        overq_filter)
     if args.max is not None:
         if args.max > MAX_HYPERELLIPTIC_SCAN:
             raise CliError("bad-args", f"--max exceeds {MAX_HYPERELLIPTIC_SCAN}")
@@ -342,8 +358,14 @@ def cmd_hyperelliptic(args):
                 "totient-partition-scan")
     if args.n is None:
         raise CliError("bad-args", "one of --n or --max is required")
+    if args.n > MAX_HYPERELLIPTIC_N:
+        raise CliError("bad-args", f"--n exceeds {MAX_HYPERELLIPTIC_N}")
+    verdict = overq_filter(args.n)      # refuses an even n or one below 3
+    if len(divisors(args.n)) > MAX_HYPERELLIPTIC_DIVISORS:
+        raise CliError("bad-args", f"--n has more than {MAX_HYPERELLIPTIC_DIVISORS} "
+                       "divisors")
     cert = hyperelliptic_cert(args.n)
-    return {"n": args.n, "filter": overq_filter(args.n).to_json(),
+    return {"n": args.n, "filter": verdict.to_json(),
             "cert": cert.to_json() if cert else None}, "totient-partition-search"
 
 

@@ -20,7 +20,7 @@ import math
 import random
 from fractions import Fraction
 
-from . import kernels
+from . import _kernel_py
 
 
 class FieldError(Exception):
@@ -425,7 +425,6 @@ class PrimeField(FiniteFieldMixin, Field):
         self.order = p
         self.zero = 0
         self.one = 1
-        self._k = kernels.for_prime(p)
 
     def coerce(self, n):
         return n % self.p
@@ -467,25 +466,25 @@ class PrimeField(FiniteFieldMixin, Field):
     # Polynomials over GF(p) are the kernels' lists of residues.
 
     def poly_add(self, a, b):
-        return self._k.padd(list(a), list(b), self.p)
+        return _kernel_py.padd(list(a), list(b), self.p)
 
     def poly_sub(self, a, b):
-        return self._k.psub(list(a), list(b), self.p)
+        return _kernel_py.psub(list(a), list(b), self.p)
 
     def poly_mul(self, a, b):
-        return self._k.pmul(list(a), list(b), self.p)
+        return _kernel_py.pmul(list(a), list(b), self.p)
 
     def poly_divmod(self, a, b):
-        return self._k.pdivmod(list(a), list(b), self.p)
+        return _kernel_py.pdivmod(list(a), list(b), self.p)
 
     def poly_gcd(self, a, b):
-        return self._k.pgcd(list(a), list(b), self.p)
+        return _kernel_py.pgcd(list(a), list(b), self.p)
 
     def poly_xgcd(self, a, b):
-        return self._k.pxgcd(list(a), list(b), self.p)
+        return _kernel_py.pxgcd(list(a), list(b), self.p)
 
     def poly_eval(self, a, x):
-        return self._k.peval(list(a), x, self.p)
+        return _kernel_py.peval(list(a), x, self.p)
 
     def __eq__(self, other):
         return isinstance(other, PrimeField) and other.p == self.p
@@ -497,31 +496,30 @@ class PrimeField(FiniteFieldMixin, Field):
         return f"GF({self.p})"
 
 
-def _is_irreducible(modulus, p, k):
+def _is_irreducible(modulus, p):
     """Irreducibility over GF(p) of a monic modulus, via Frobenius powers."""
     m = len(modulus) - 1
     if m <= 0:
         return False
-    x = k.pdivmod([0, 1], modulus, p)[1]     # x mod f, not x when m = 1
-    xq = k.ppowmod(x, p ** m, modulus, p)
-    if k.psub(xq, x, p):
+    x = _kernel_py.pdivmod([0, 1], modulus, p)[1]     # x mod f, not x when m = 1
+    xq = _kernel_py.ppowmod(x, p ** m, modulus, p)
+    if _kernel_py.psub(xq, x, p):
         return False
     for r in factorize(m):
-        xd = k.ppowmod(x, p ** (m // r), modulus, p)
-        if k.pgcd(k.psub(xd, x, p), modulus, p) != [1]:
+        xd = _kernel_py.ppowmod(x, p ** (m // r), modulus, p)
+        if _kernel_py.pgcd(_kernel_py.psub(xd, x, p), modulus, p) != [1]:
             return False
     return True
 
 
 def find_irreducible(p, m, seed=0):
     """Seeded-deterministic monic irreducible of degree m over GF(p)."""
-    k = kernels.for_prime(p)
     if m == 1:
         return [0, 1]
     rng = random.Random((seed, p, m).__repr__())
     while True:
         coeffs = [rng.randrange(p) for _ in range(m)] + [1]
-        if _is_irreducible(coeffs, p, k):
+        if _is_irreducible(coeffs, p):
             return coeffs
 
 
@@ -548,7 +546,7 @@ def _index(coeffs, p):
     return acc
 
 
-def _tables(p, modulus, k):
+def _tables(p, modulus):
     """(exp, log, zech, neg) for GF(p)[x]/(modulus), built on first use.
 
     With g the least-index generator of the unit group and n = q - 1:
@@ -560,21 +558,21 @@ def _tables(p, modulus, k):
     if tabs is None:
         if len(_TABLES) >= _TABLES_KEPT:
             del _TABLES[next(iter(_TABLES))]
-        tabs = _TABLES[key] = _build_tables(p, list(modulus), k)
+        tabs = _TABLES[key] = _build_tables(p, list(modulus))
     return tabs
 
 
-def _build_tables(p, mod, k):
+def _build_tables(p, mod):
     q = p ** (len(mod) - 1)
     n = q - 1
     cofactors = [n // r for r in factorize(n)]
     for gen in range(2, q):
         g = _digits(gen, p)
-        if all(k.ppowmod(g, e, mod, p) != [1] for e in cofactors):
+        if all(_kernel_py.ppowmod(g, e, mod, p) != [1] for e in cofactors):
             break
     exp, acc = [1], [1]
     for _ in range(n - 1):
-        acc = k.pmulmod(acc, g, mod, p)
+        acc = _kernel_py.pmulmod(acc, g, mod, p)
         exp.append(_index(acc, p))
     log = [None] * q
     for i, a in enumerate(exp):
@@ -602,13 +600,12 @@ class ExtField(FiniteFieldMixin, Field):
         self.m = m
         self.char = p
         self.order = p ** m
-        self._k = kernels.for_prime(p)
         if modulus is None:
             modulus = find_irreducible(p, m, seed=seed)
         modulus = [c % p for c in modulus]
         if len(modulus) != m + 1 or modulus[-1] != 1:
             raise FieldError(f"modulus must be monic of degree {m}")
-        if not _is_irreducible(modulus, p, self._k):
+        if not _is_irreducible(modulus, p):
             raise FieldError("modulus is reducible over GF(p)")
         self.modulus = tuple(modulus)
         self._mod_list = list(modulus)
@@ -618,8 +615,7 @@ class ExtField(FiniteFieldMixin, Field):
         # list -> kernel -> index.
         self._exp = self._log = self._zech = self._neg = None
         if self.order <= _TABLE_MAX:
-            self._exp, self._log, self._zech, self._neg = _tables(
-                p, self.modulus, self._k)
+            self._exp, self._log, self._zech, self._neg = _tables(p, self.modulus)
 
     def coerce(self, n):
         return n % self.p
@@ -632,7 +628,7 @@ class ExtField(FiniteFieldMixin, Field):
         log = self._log
         if log is None:
             p = self.p
-            return _index(self._k.padd(_digits(a, p), _digits(b, p), p), p)
+            return _index(_kernel_py.padd(_digits(a, p), _digits(b, p), p), p)
         # g^i + g^j = g^(i + zech[j - i]); a negative index into zech wraps
         # modulo q - 1 as the exponent does.
         i = log[a]
@@ -642,7 +638,7 @@ class ExtField(FiniteFieldMixin, Field):
     def sub(self, a, b):
         if self._log is None:
             p = self.p
-            return _index(self._k.psub(_digits(a, p), _digits(b, p), p), p)
+            return _index(_kernel_py.psub(_digits(a, p), _digits(b, p), p), p)
         return self.add(a, self._neg[b])
 
     def mul(self, a, b):
@@ -651,14 +647,14 @@ class ExtField(FiniteFieldMixin, Field):
         log = self._log
         if log is None:
             p = self.p
-            return _index(self._k.pmulmod(_digits(a, p), _digits(b, p),
-                                          self._mod_list, p), p)
+            return _index(_kernel_py.pmulmod(_digits(a, p), _digits(b, p),
+                                             self._mod_list, p), p)
         return self._exp[log[a] + log[b]]
 
     def neg(self, a):
         if self._neg is None:
             p = self.p
-            return _index(self._k.pneg(_digits(a, p), p), p)
+            return _index(_kernel_py.pneg(_digits(a, p), p), p)
         return self._neg[a]
 
     def inv(self, a):
@@ -667,7 +663,7 @@ class ExtField(FiniteFieldMixin, Field):
         log = self._log
         if log is None:
             p = self.p
-            return _index(self._k.pinvmod(_digits(a, p), self._mod_list, p), p)
+            return _index(_kernel_py.pinvmod(_digits(a, p), self._mod_list, p), p)
         return self._exp[self.order - 1 - log[a]]
 
     def pow_el(self, a, e):
@@ -676,7 +672,7 @@ class ExtField(FiniteFieldMixin, Field):
         log = self._log
         if log is None:
             p = self.p
-            return _index(self._k.ppowmod(_digits(a, p), e, self._mod_list, p), p)
+            return _index(_kernel_py.ppowmod(_digits(a, p), e, self._mod_list, p), p)
         if not a:
             return 0 if e else 1
         return self._exp[log[a] * e % (self.order - 1)]

@@ -9,7 +9,7 @@ the field alone decides which arithmetic backs its polynomials.
 
 from __future__ import annotations
 
-from . import kernels
+from . import _kernel_py
 from .fields import Field, Rationals, _to_zz
 
 
@@ -208,10 +208,9 @@ def is_squarefree(f: Poly) -> bool:
         for p in _SQFREE_PRIMES:
             if ints[-1] % p == 0:
                 continue
-            k = kernels.for_prime(p)
-            fa = k.ptrim([c % p for c in ints])
-            da = k.ptrim([(i * ints[i]) % p for i in range(1, len(ints))])
-            if da and k.pgcd(fa, da, p) == [1]:
+            fa = _kernel_py.ptrim([c % p for c in ints])
+            da = _kernel_py.ptrim([(i * ints[i]) % p for i in range(1, len(ints))])
+            if da and _kernel_py.pgcd(fa, da, p) == [1]:
                 return True
     return f.gcd(d).degree == 0
 

@@ -496,19 +496,26 @@ def test_hyperelliptic_max_bound(capsys):
         assert code == 1 and out["code"] == "bad-args"
 
 
-# The pure and compiled kernels agree only on operands without trailing
-# zeros: on [1, 0] the pure pmul keeps a trailing zero in its product, the
-# compiled pxgcd returns a gcd [1] with no Bezout pair, and the pure pinvmod
-# does not end.
+def test_hyperelliptic_n_bounds(capsys):
+    # 2^61 - 1 is a prime past MAX_HYPERELLIPTIC_N; 765765 has 96 divisors
+    for n in (2 ** 61 - 1, cli.MAX_HYPERELLIPTIC_N + 1, 765765):
+        start = time.perf_counter()
+        code, out = run(capsys, ["hyperelliptic", "--n", str(n)])
+        assert time.perf_counter() - start < 1
+        assert code == 1 and out["code"] == "bad-args"
+    code, out = run(capsys, ["hyperelliptic", "--n", "45045"])   # 48 divisors
+    assert code == 0 and out["payload"]["cert"]["n"] == 45045
+
+
+# The kernels are defined only on operands without trailing zeros: on
+# [1, 0] pmul keeps a trailing zero in its product and pinvmod does not end.
 KERNELS = ("padd", "psub", "pneg", "pscale", "pmul", "pdivmod", "pmonic",
            "pgcd", "pxgcd", "peval", "pmulmod", "ppowmod", "pinvmod")
 
 
 @pytest.mark.parametrize("tabled", [True, False])
 def test_kernel_operands_carry_no_trailing_zeros(capsys, monkeypatch, tabled):
-    from hyptorsion import fields, kernels
-    kmod = kernels.for_prime(3)
-    assert kmod is kernels.for_prime(11)
+    from hyptorsion import _kernel_py, fields
     calls, untrimmed = collections.Counter(), []
 
     def checked(name, fn):
@@ -520,7 +527,7 @@ def test_kernel_operands_carry_no_trailing_zeros(capsys, monkeypatch, tabled):
         return call
 
     for name in KERNELS:
-        monkeypatch.setattr(kmod, name, checked(name, getattr(kmod, name)))
+        monkeypatch.setattr(_kernel_py, name, checked(name, getattr(_kernel_py, name)))
     monkeypatch.setattr(fields, "_TABLES", {})
     if not tabled:   # GF(3^4) element arithmetic then runs on the kernels
         monkeypatch.setattr(fields, "_TABLE_MAX", 0)

@@ -1,32 +1,35 @@
-"""What `import hyptorsion.cli` loads, and the package's lazy re-exports."""
+"""What `import hyptorsion.cli` loads, the package's lazy re-exports, and
+what `setup.py build` puts in the package."""
 
 import importlib
 import json
+import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 import hyptorsion
 
+ROOT = Path(__file__).resolve().parent.parent
+
 CORE = {"hyptorsion", "hyptorsion.cli", "hyptorsion.fields",
         "hyptorsion.polyring", "hyptorsion.jacobian", "hyptorsion.torsion",
-        "hyptorsion.kernels"}
+        "hyptorsion.kernels", "hyptorsion._kernel_py"}
 
 
-@pytest.mark.parametrize("pure", [False, True])
-def test_cli_import_loads_only_the_core(run_fresh, pure):
-    proc = run_fresh(f"""
-        import json, os, sys
-        if {pure}:
-            os.environ["HYPTORSION_PURE"] = "1"
+def test_cli_import_loads_only_the_core(run_fresh):
+    proc = run_fresh("""
+        import json, sys
         import hyptorsion.cli
         loaded = sorted(m for m in sys.modules if m.split(".")[0] == "hyptorsion")
         print(json.dumps([loaded, hyptorsion.cli.BACKEND]))
     """)
     assert proc.returncode == 0, proc.stderr
     loaded, backend = json.loads(proc.stdout)
-    assert backend == "pure" or not pure
-    expected = CORE | ({"hyptorsion._kernel"} if backend == "compiled" else set())
-    assert set(loaded) == expected
+    assert backend == "pure"
+    assert set(loaded) == CORE
 
 
 def test_star_import_binds_every_export(run_fresh):
@@ -59,3 +62,22 @@ def test_fields_own_polynomial_arithmetic():
     from hyptorsion import polyring
     assert not hasattr(polyring.Poly, "_kp")
     assert not hasattr(polyring, "PrimeField")
+
+
+def test_setup_py_builds_the_pure_package(tmp_path):
+    """Build from a staged copy of the sources, as the benchmark harness
+    does: every module of src/hyptorsion and nothing compiled."""
+    for rel in ("setup.py", "pyproject.toml", "README.md"):
+        shutil.copy(ROOT / rel, tmp_path / rel)
+    shutil.copytree(ROOT / "src", tmp_path / "src",
+                    ignore=shutil.ignore_patterns("__pycache__", "*.egg-info"))
+    proc = subprocess.run([sys.executable, "setup.py", "-q", "build",
+                           "--build-base", "build"],
+                          cwd=tmp_path, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    (lib,) = (tmp_path / "build").glob("lib*")
+    assert (lib / "hyptorsion" / "_kernel_py.py").is_file()
+    built = {p.name for p in (lib / "hyptorsion").iterdir()}
+    assert built == {p.name for p in (ROOT / "src" / "hyptorsion").glob("*.py")}
+    output = [p.name for p in (tmp_path / "build").rglob("*")]
+    assert not [n for n in output if n.endswith((".so", ".c"))], output

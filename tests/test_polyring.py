@@ -1,19 +1,11 @@
-import json
-import os
 import random
-import re
-import shutil
-import subprocess
-import sys
-import sysconfig
 from fractions import Fraction
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hyptorsion import fields
+from hyptorsion import _kernel_py, fields
 from hyptorsion.fields import ExtField, Field, PrimeField, Rationals
 from hyptorsion.polyring import (Poly, cyclotomic, diff_power, is_squarefree,
                                  poly_sqrt, reverse_scale)
@@ -350,6 +342,50 @@ class TestFieldPolyArithmetic:
                     for c in (a, b):
                         assert Field.poly_divmod(F, c, g)[1] == [], (c, g)
 
+    @pytest.mark.parametrize("p", [3, 11, 2 ** 31 - 1])
+    def test_kernels_outside_poly_methods(self, p):
+        """The GF(p) kernels that field construction and untabled GF(p^m)
+        elements call, not the poly_* methods, against the generic loops."""
+        F, k = PrimeField(p), _kernel_py
+        trimmed, _ = _operands(F, p)
+        moduli = [m for m in trimmed if len(m) > 1]
+
+        def mulmod(a, b, m):
+            return Field.poly_divmod(F, Field.poly_mul(F, a, b), m)[1]
+
+        def powmod(a, e, m):
+            if not e:
+                return [F.one]
+            half = powmod(a, e // 2, m)
+            r = mulmod(half, half, m)
+            return mulmod(r, a, m) if e & 1 else r
+
+        inverted = refused = 0
+        for a in trimmed:
+            assert k.ptrim(a + [F.zero] * 2) == a
+            assert k.pneg(a, p) == Field.poly_sub(F, [], a), a
+            assert k.pmonic(a, p) == Field._poly_monic(F, a), a
+            for c in (0, 1, 2, p - 1):
+                assert k.pscale(a, c, p) == Field.poly_mul(F, a, [c] if c else []), (a, c)
+            for m in moduli:
+                for b in trimmed:
+                    assert k.pmulmod(a, b, m, p) == mulmod(a, b, m), (a, b, m)
+                for e in (0, 1, 2, 7, p - 1, p ** 3 + 5):
+                    assert k.ppowmod(a, e, m, p) == powmod(a, e, m), (a, e, m)
+                if Field.poly_gcd(F, a, m) == [F.one]:
+                    inv = k.pinvmod(a, m, p)
+                    assert len(inv) < len(m) and mulmod(a, inv, m) == [F.one], (a, m)
+                    inverted += 1
+                else:
+                    with pytest.raises(ZeroDivisionError):
+                        k.pinvmod(a, m, p)
+                    refused += 1
+            for name, args in (("pmulmod", (a, a)), ("ppowmod", (a, 2)),
+                               ("pinvmod", (a,))):
+                with pytest.raises(ZeroDivisionError):
+                    getattr(k, name)(*args, [], p)
+        assert inverted and refused
+
     def test_tables_do_not_change_polynomials(self, monkeypatch):
         F = ExtField(3, 4)
         with monkeypatch.context() as mp:
@@ -364,123 +400,3 @@ class TestFieldPolyArithmetic:
                             == _lists(getattr(K, name)(a, b))), (name, a, b)
                 if b:
                     assert F.poly_divmod(a, b) == K.poly_divmod(a, b)
-
-
-ROOT = Path(__file__).resolve().parent.parent
-KERNEL_DIR = ROOT / "src" / "hyptorsion"
-
-# Runs in a fresh interpreter, because loading the extension registers
-# hyptorsion._kernel for the rest of the process.  argv[1] is the built .so.
-TWIN_SCRIPT = r"""
-import importlib.util, json, random, sys
-from hyptorsion import _kernel_py as pure
-spec = importlib.util.spec_from_file_location("hyptorsion._kernel", sys.argv[1])
-comp = importlib.util.module_from_spec(spec)
-spec.loader.exec_module(comp)
-
-def outcome(k, name, args):
-    try:
-        return getattr(k, name)(*[list(x) if isinstance(x, list) else x for x in args])
-    except ZeroDivisionError:
-        return "ZeroDivisionError"
-
-public = sorted(n for n in dir(pure) if n.startswith("p") and callable(getattr(pure, n)))
-checked, raised, mismatches = {}, {}, []
-
-def check(name, *args):
-    want, got = outcome(pure, name, args), outcome(comp, name, args)
-    checked[name] = checked.get(name, 0) + 1
-    raised[name] = raised.get(name, 0) + (want == "ZeroDivisionError")
-    if want != got and len(mismatches) < 10:
-        mismatches.append([name, repr(args), repr(want), repr(got)])
-
-for p in (3, 5, 11, 10007, 2147483647):
-    rng = random.Random(p)
-    def poly(n):
-        return pure.ptrim([rng.randrange(p) for _ in range(n)])
-    polys = [[], [1], [0, 1], [rng.randrange(1, p)]]
-    polys += [poly(rng.randrange(1, 10)) for _ in range(30)]
-    for a in polys:
-        check("ptrim", a + [0] * rng.randrange(3))
-        check("pneg", a, p)
-        check("pscale", a, rng.randrange(p), p)
-        check("pscale", a, 0, p)
-        check("pmonic", a, p)
-        check("peval", a, rng.randrange(p), p)
-        for b in polys[:12]:
-            for name in ("padd", "psub", "pmul", "pdivmod", "pgcd", "pxgcd"):
-                check(name, a, b, p)
-                check(name, b, a, p)
-            check("pmulmod", a, rng.choice(polys), b, p)
-            check("ppowmod", a, rng.choice([0, 1, 2, 7, p - 1, p ** 3 + 5]), b, p)
-            check("pinvmod", a, b, p)
-print(json.dumps({"public": public, "compiled": comp.IS_COMPILED,
-                  "checked": checked, "raised": raised, "mismatches": mismatches}))
-"""
-
-KERNELS = sorted(["ptrim", "padd", "psub", "pneg", "pscale", "pmul", "pdivmod",
-                  "pmonic", "pgcd", "pxgcd", "peval", "pmulmod", "ppowmod",
-                  "pinvmod"])
-
-
-class TestBackends:
-    def test_pure_matches_compiled(self, tmp_path):
-        """Build the kernel extension as setup.py does, from a copy of the
-        build inputs so that nothing is written under src/, and compare every
-        public kernel with its pure-Python twin, errors included."""
-        cc = (os.environ.get("CC") or sysconfig.get_config_var("CC") or "cc").split()[0]
-        if shutil.which(cc) is None:
-            pytest.skip(f"no C compiler ({cc}) to build _kernel.c")
-        stage = tmp_path / "stage"
-        for rel in ("setup.py", "pyproject.toml", "README.md", "src/hyptorsion/_kernel.c"):
-            (stage / rel).parent.mkdir(parents=True, exist_ok=True)
-            shutil.copy(ROOT / rel, stage / rel)
-        env = {k: v for k, v in os.environ.items() if k != "HYPTORSION_PURE"}
-        build = subprocess.run(
-            [sys.executable, "setup.py", "-q", "build_ext",
-             "--build-lib", str(tmp_path / "lib"),
-             "--build-temp", str(tmp_path / "tmp")],
-            cwd=stage, env=env, capture_output=True, text=True, timeout=600)
-        built = list((tmp_path / "lib").rglob("_kernel*.so"))
-        # optional_build_ext turns a compile error into a warning and exit 0
-        assert build.returncode == 0 and len(built) == 1, (
-            f"setup.py build_ext built {built}:\n{build.stdout}\n{build.stderr}")
-        env["PYTHONPATH"] = os.pathsep.join(
-            filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
-        proc = subprocess.run([sys.executable, "-c", TWIN_SCRIPT, str(built[0])],
-                              env=env, capture_output=True, text=True, timeout=600)
-        assert proc.returncode == 0, proc.stderr
-        report = json.loads(proc.stdout)
-        assert report["public"] == KERNELS and report["compiled"] is True
-        assert sorted(report["checked"]) == KERNELS
-        assert report["mismatches"] == []
-        for name in ("pdivmod", "pmulmod", "ppowmod", "pinvmod"):
-            assert report["raised"][name] > 0, name
-
-    def test_shipped_c_matches_pyx(self):
-        """_kernel.c is what setup.py builds, so an edit to _kernel.pyx
-        must come with a regenerated _kernel.c: every source line Cython
-        quoted in the .c must still be that line of the .pyx, and every
-        function of the .pyx must be quoted."""
-        pyx = (KERNEL_DIR / "_kernel.pyx").read_text().splitlines()
-        c_lines = (KERNEL_DIR / "_kernel.c").read_text().splitlines()
-        marker = "             # <<<<<<<<<<<<<<"
-        marked = set()
-        for i, line in enumerate(c_lines):
-            m = re.fullmatch(r'\s*/\* "hyptorsion/_kernel\.pyx":(\d+)', line)
-            if not m:
-                continue
-            # A block quotes up to two lines either side of line n, marking
-            # line n; each as " * " + the rstripped line, comment delimiters
-            # defused.
-            n = int(m.group(1))
-            quoted = c_lines[i + 1:c_lines.index("*/", i)]
-            k = next(j for j, q in enumerate(quoted) if q.endswith(marker))
-            quoted[k] = quoted[k][:-len(marker)]
-            for j, q in enumerate(quoted):
-                src = pyx[n - k + j - 1].rstrip()
-                want = " * " + src.replace("*/", "*[/]").replace("/*", "[/]*")
-                assert q == want, f"_kernel.pyx line {n - k + j}"
-            marked.add(n)
-        defs = {n for n, line in enumerate(pyx, 1) if re.match(r"c?def \w", line)}
-        assert defs <= marked, sorted(defs - marked)
