@@ -9,7 +9,6 @@ every other clause of criterion 7 holds.
 
 from __future__ import annotations
 
-import itertools
 import random
 import sys
 import time
@@ -18,12 +17,12 @@ from .families import (char_templates, find_good_mu, nice_pairs_coprime,
                        rational_four_torsion, symmetry_classes)
 from .fields import ExtField, PrimeField, Rationals
 from .jacobian import (Curve, CurveError, cantor_add, embed, exact_order,
-                       identity, neg, points_with_x, scalar_mul)
+                       identity, neg, points_with_x)
 from .numth import hyperelliptic_cert, hyperelliptic_scan, overq_filter
 from .pairing import weil_closed, weil_explicit
 from .polyring import Poly, diff_power, is_squarefree, poly_sqrt
-from .torsion import (CertError, make_pair, make_single, recover_pair,
-                      torsion_census, verify_single)
+from .torsion import (CertError, PairCert, make_pair, make_single,
+                      recover_pair, torsion_census, verify_single)
 
 
 def criterion_1_examples():
@@ -44,14 +43,14 @@ def criterion_1_examples():
     return ok, f"GF(11) and GF(5) examples, cert+oracle: {checks}"
 
 
-def _census_curves(p, k, g, per_m=(8, 6, 4, 2)):
+def _census_curves(p, k, g):
     """>= 20 constructed curves with an order-p^k point, censused over their
     own field GF(p^m), m <= 4; returns (curves censused, worst point count)."""
     n = p ** k
     if n != 2 * g + 1:
         raise AssertionError(f"p^k = {n} is not 2g+1 = {2 * g + 1}")
     total, worst = 0, 0
-    for m, want in zip(range(1, 5), per_m):
+    for m, want in ((1, 8), (2, 6), (3, 4), (4, 2)):
         F = PrimeField(p) if m == 1 else ExtField(p, m)
         built = 0
         done = False
@@ -164,11 +163,10 @@ def _pairing_families():
             yield F, g, t, f"GF({p}^{m})"
 
 
-def criterion_7_pairing(require_nontrivial=True):
-    """weil_explicit == weil_closed, e^{2g+1} = 1 and W-independence for
-    every (I, mu-good) family at g in {2,3} over GF(11) and GF(29) (taking
-    the quadratic/cubic extension where M(2g+1) demands it); optionally also
-    e != 1 for every family."""
+def criterion_7_pairing():
+    """weil_explicit == weil_closed, e^{2g+1} = 1, W-independence and
+    e != 1 for every (I, mu-good) family at g in {2,3} over GF(11) and GF(29)
+    (taking the quadratic/cubic extension where M(2g+1) demands it)."""
     trivial = []
     count = 0
     for F, g, t, fname in _pairing_families():
@@ -180,7 +178,7 @@ def criterion_7_pairing(require_nontrivial=True):
         if e == F.one:
             trivial.append(f"{fname} I={t.I}")
         count += 1
-    if require_nontrivial and trivial:
+    if trivial:
         return False, (
             f"routes agree on all {count} families and e^(2g+1)=1 and "
             f"W-independence hold, but e = 1 for {len(trivial)} families "
@@ -222,12 +220,13 @@ def _property_roundtrip(rng):
         mu = F.from_index(rng.randrange(1, F.order))
         try:
             u1, u2 = t.u_pair(F, mu)
-            from .torsion import PairCert
             cert = PairCert(g, F.zero, F.neg(F.one), u1, u2)
             enh = make_pair(F, g, cert)
         except (CertError, CurveError):
             continue
-        back = recover_pair(enh.C, enh.P, enh.Q)  # checks the Remark identities
+        # the Remark's evaluation identities follow from the product
+        # identity PairCert checks
+        back = recover_pair(enh.C, enh.P, enh.Q)
         if back.u1 != cert.u1 or back.u2 != cert.u2:
             raise AssertionError(f"pair round trip over {F!r} changes (u1, u2)")
         done += 1
@@ -285,8 +284,8 @@ def _property_diff_power(rng):
 
 def criterion_8_properties():
     """Random property suites: poly_sqrt round trips, pair-certificate round
-    trips with the evaluation identities, Cantor group laws, diff_power
-    squarefreeness."""
+    trips (whose evaluation identities follow from PairCert's product
+    identity), Cantor group laws, diff_power squarefreeness."""
     rng = random.Random(20260823)
     _property_sqrt(rng)
     _property_roundtrip(rng)

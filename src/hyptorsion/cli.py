@@ -15,17 +15,16 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import re
 import sys
 from fractions import Fraction
 
 from .fields import (FieldError, InsufficientFieldError, Rationals, field_make)
-from .jacobian import AffinePoint, Curve, CurveError, embed, exact_order
+from .jacobian import AffinePoint, Curve, embed, exact_order
 from .kernels import BACKEND
 from .polyring import Poly
-from .torsion import (CertError, PairCert, make_pair, make_single,
-                      torsion_census, verify_single)
+from .torsion import (PairCert, make_pair, make_single, torsion_census,
+                      verify_single)
 
 
 class CliError(Exception):
@@ -73,12 +72,10 @@ MAX_HYPERELLIPTIC_SCAN = 5000
 # within 20 s.
 MAX_HYPERELLIPTIC_N = 10 ** 8
 
-# The most divisors --n may have.  The search tries subsets of the divisors
-# in increasing size until their totients sum to (n-1)/2, so its cost grows
-# with the count: 45045 (48 divisors) takes 0.2 s, 143325 (54) 2 s, 208845
-# (64) 4.8 s, and 405405 (80) and 765765 (96) did not end within 15 s.  It
-# grows with the size of the smallest certificate too, which this bound does
-# not limit: 99645 (32 divisors, certificate of 9) did not end within 10 s.
+# The most divisors --n may have.  Above 20 divisors the search first runs
+# the subset-sum pass, one bitset shift per divisor; numth.MAX_CERT_SUBSETS
+# then bounds the subsets of divisors it tries: 45045 (48 divisors) answers
+# in 0.1 s, and 99645 (32 divisors, smallest certificate of 9) is refused.
 MAX_HYPERELLIPTIC_DIVISORS = 48
 
 
@@ -235,10 +232,6 @@ def load_curve(args, F):
     return F, Curve(F, args.g, parse_poly(F, text))
 
 
-def point_json(F, P):
-    return {"x": F.elem_to_json(P.x), "y": F.elem_to_json(P.y)}
-
-
 # -- subcommands -----------------------------------------------------------
 
 def cmd_construct_single(args):
@@ -246,7 +239,7 @@ def cmd_construct_single(args):
     v = parse_poly(F, args.v)
     a = parse_elem(F, args.a)
     C, P, cert = make_single(F, args.g, a, v)
-    return {"curve": C.to_json(), "point": point_json(F, P),
+    return {"curve": C.to_json(), "point": P.to_json(F),
             "cert": cert.to_json(F)}, "single-point-certificate"
 
 
@@ -271,8 +264,8 @@ def cmd_construct_pair(args):
     cert = PairCert(args.g, parse_elem(F, args.a1), parse_elem(F, args.a2),
                     parse_poly(F, args.u1), parse_poly(F, args.u2))
     enh = make_pair(F, args.g, cert)
-    return {"curve": enh.C.to_json(), "P": point_json(F, enh.P),
-            "Q": point_json(F, enh.Q)}, "pair-certificate-construction"
+    return {"curve": enh.C.to_json(), "P": enh.P.to_json(F),
+            "Q": enh.Q.to_json(F)}, "pair-certificate-construction"
 
 
 def _templates(F, args):
@@ -305,15 +298,12 @@ def _check_char_curve(g, p, k, l):
 
 
 def _walk_too_long(p, k, l):
-    """(p^k + 1)^(2l) > MAX_ADMISSIBLE_TUPLES, decided without forming p^k
-    for a large k.  Values the family code rejects, or that give at most
-    one tuple, pass."""
-    bound = MAX_ADMISSIBLE_TUPLES
+    """(p^k + 1)^(2l) > MAX_ADMISSIBLE_TUPLES; _check_char_curve has already
+    capped p^k(2l+1) at MAX_POLY_DEGREE.  Values the family code rejects, or
+    that give at most one tuple, pass."""
     if p < 2 or k < 0 or l < 1:
         return False
-    if 2 * l > math.log2(bound) or 2 * l * k > math.log(bound, p):
-        return True
-    return (p ** k + 1) ** (2 * l) > bound
+    return (p ** k + 1) ** (2 * l) > MAX_ADMISSIBLE_TUPLES
 
 
 def cmd_enumerate_families(args):
@@ -336,7 +326,7 @@ def cmd_find_mu(args):
     t = templates[args.index]
     mu, cert, enh = find_good_mu(F, args.g, t)
     return {"family": t.to_json(mu=mu, F=F), "curve": enh.C.to_json(),
-            "P": point_json(F, enh.P), "Q": point_json(F, enh.Q)}, "good-mu-scan"
+            "P": enh.P.to_json(F), "Q": enh.Q.to_json(F)}, "good-mu-scan"
 
 
 def cmd_rational_g52(args):
@@ -345,12 +335,12 @@ def cmd_rational_g52(args):
     F = C.ctx
     return {"curve": C.to_json(), "mu": F.elem_to_json(mu),
             "order": 2 * args.g + 1,
-            "points": [point_json(F, P) for P in pts]}, "rational-four-torsion"
+            "points": [P.to_json(F) for P in pts]}, "rational-four-torsion"
 
 
 def cmd_hyperelliptic(args):
-    from .numth import (divisors, hyperelliptic_cert, hyperelliptic_scan,
-                        overq_filter)
+    from .numth import (SearchTooLongError, divisors, hyperelliptic_cert,
+                        hyperelliptic_scan, overq_filter)
     if args.max is not None:
         if args.max > MAX_HYPERELLIPTIC_SCAN:
             raise CliError("bad-args", f"--max exceeds {MAX_HYPERELLIPTIC_SCAN}")
@@ -364,7 +354,10 @@ def cmd_hyperelliptic(args):
     if len(divisors(args.n)) > MAX_HYPERELLIPTIC_DIVISORS:
         raise CliError("bad-args", f"--n has more than {MAX_HYPERELLIPTIC_DIVISORS} "
                        "divisors")
-    cert = hyperelliptic_cert(args.n)
+    try:
+        cert = hyperelliptic_cert(args.n)
+    except SearchTooLongError as exc:
+        raise CliError("bad-args", str(exc)) from None
     return {"n": args.n, "filter": verdict.to_json(),
             "cert": cert.to_json() if cert else None}, "totient-partition-search"
 
@@ -378,7 +371,7 @@ def cmd_census(args):
                        f"elements exceed {MAX_CENSUS_ORDER}")
     found = torsion_census(C, args.n)
     return {"n": args.n, "count": len(found),
-            "points": [point_json(F, P) for P, _ in found]}, "torsion-census"
+            "points": [P.to_json(F) for P, _ in found]}, "torsion-census"
 
 
 def cmd_weil(args):
@@ -459,24 +452,17 @@ def build_parser():
         p.add_argument(flag, required=True)
     p.set_defaults(func=cmd_construct_pair)
 
-    p = sub.add_parser("enumerate-families", help="all family templates")
-    common(p, g=True)
-    p.add_argument("--regime", choices=("coprime", "char"), default="coprime")
-    p.add_argument("--p", type=int, default=None)
-    p.add_argument("--k", type=int, default=None)
-    p.add_argument("--l", type=int, default=None)
-    p.add_argument("--all-admissible", action="store_true")
-    p.set_defaults(func=cmd_enumerate_families)
-
-    p = sub.add_parser("find-mu", help="first good scalar for a template")
-    common(p, g=True)
-    p.add_argument("--regime", choices=("coprime", "char"), default="coprime")
-    p.add_argument("--p", type=int, default=None)
-    p.add_argument("--k", type=int, default=None)
-    p.add_argument("--l", type=int, default=None)
-    p.add_argument("--all-admissible", action="store_true")
-    p.add_argument("--index", type=int, default=0)
-    p.set_defaults(func=cmd_find_mu)
+    for name, help_text, func in (
+            ("enumerate-families", "all family templates", cmd_enumerate_families),
+            ("find-mu", "first good scalar for a template", cmd_find_mu)):
+        p = sub.add_parser(name, help=help_text)
+        common(p, g=True)
+        p.add_argument("--regime", choices=("coprime", "char"), default="coprime")
+        for flag in ("--p", "--k", "--l"):
+            p.add_argument(flag, type=int, default=None)
+        p.add_argument("--all-admissible", action="store_true")
+        p.set_defaults(func=func)
+    p.add_argument("--index", type=int, default=0)      # find-mu's alone
 
     p = sub.add_parser("rational-g52", help="rational curve with four torsion points")
     common(p, field=False)
@@ -525,8 +511,7 @@ def main(argv=None):
     except CliError as exc:
         result = {"status": "error", "code": exc.code, "message": str(exc)}
         code = 1
-    except (FieldError, CurveError, CertError, InsufficientFieldError,
-            ValueError) as exc:
+    except (FieldError, ValueError) as exc:     # CurveError, CertError included
         extra = {}
         if isinstance(exc, InsufficientFieldError):
             extra = {"extension_degree": exc.extension_degree}

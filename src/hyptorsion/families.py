@@ -13,13 +13,12 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .fields import FieldError, InsufficientFieldError, Rationals, nth_roots_of_unity
 from .jacobian import CurveError, involution
-from .numth import TotientPartition, hyperelliptic_cert
+from .numth import hyperelliptic_cert
 from .polyring import Poly, cyclotomic, reverse_scale
-from .torsion import CertError, EnhancedCurve, PairCert, make_pair
+from .torsion import CertError, PairCert, make_pair
 
 
 @dataclass(frozen=True)
@@ -218,8 +217,8 @@ def mu_candidates(F):
     else:
         n = 1
         while True:
-            yield Fraction(n)
-            yield Fraction(-n)
+            yield F.coerce(n)
+            yield F.coerce(-n)
             n += 1
 
 
@@ -244,7 +243,7 @@ def find_good_mu(F, g, template):
         extension_degree=2)
 
 
-def rational_four_torsion(g, partition: TotientPartition | None = None):
+def rational_four_torsion(g):
     """A genus-g curve over Q with four rational points of order 2g+1.
 
     Requires 2g+1 to be a hyperelliptic number; the totient certificate
@@ -253,12 +252,9 @@ def rational_four_torsion(g, partition: TotientPartition | None = None):
     of a marked-pair certificate at abscissas 0 and -1.
     """
     n = 2 * g + 1
+    partition = hyperelliptic_cert(n)
     if partition is None:
-        partition = hyperelliptic_cert(n)
-        if partition is None:
-            raise ValueError(f"2g+1 = {n} is not a hyperelliptic number")
-    elif partition.n != n:
-        raise ValueError("partition does not match 2g+1")
+        raise ValueError(f"2g+1 = {n} is not a hyperelliptic number")
     F = Rationals()
     w1 = Poly.const(F, F.one)
     for d in partition.S1:

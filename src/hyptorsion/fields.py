@@ -10,8 +10,8 @@ lookup; above it, each operation reduces modulo the defining polynomial.
 
 Each field also owns the arithmetic of polynomials over it, on coefficient
 sequences (`poly_add`, ..., `poly_eval`): GF(p) hands them to the kernels,
-Q takes gcds by a primitive PRS over the integers, and GF(p^m) runs the
-generic loops over its element operations.
+Q takes gcds by modular images and then a primitive PRS over the integers,
+and GF(p^m) runs the generic loops over its element operations.
 """
 
 from __future__ import annotations
@@ -35,18 +35,28 @@ class InsufficientFieldError(FieldError):
         self.extension_degree = extension_degree
 
 
+# Miller-Rabin to these bases, the first 13 primes, is exact below
+# _MR_EXACT_BELOW, the least strong pseudoprime to all of them (Sorenson and
+# Webster, Math. Comp. 86, 2017).
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_EXACT_BELOW = 3317044064679887385961981
+
+
 def is_prime(n):
-    """Deterministic Miller-Rabin (valid far beyond 64 bits of desk scale)."""
+    """Whether n is prime.  Exact below 3317044064679887385961981 (about
+    3.3e24), by Miller-Rabin to the 13 prime bases 2 .. 41; from there on
+    Baillie-PSW, those bases and a strong Lucas test, which no known
+    composite passes."""
     if n < 2:
         return False
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for p in _MR_BASES:
         if n % p == 0:
             return n == p
     d, s = n - 1, 0
     while d % 2 == 0:
         d //= 2
         s += 1
-    for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for a in _MR_BASES:
         x = pow(a, d, n)
         if x in (1, n - 1):
             continue
@@ -56,7 +66,59 @@ def is_prime(n):
                 break
         else:
             return False
-    return True
+    return n < _MR_EXACT_BELOW or _is_strong_lucas_prp(n)
+
+
+def _jacobi(a, n):
+    """The Jacobi symbol (a/n) for odd n > 0."""
+    a %= n
+    sign = 1
+    while a:
+        while a % 2 == 0:
+            a //= 2
+            if n % 8 in (3, 5):
+                sign = -sign
+        a, n = n, a
+        if a % 4 == 3 and n % 4 == 3:
+            sign = -sign
+        a %= n
+    return sign if n == 1 else 0
+
+
+def _is_strong_lucas_prp(n):
+    """Strong Lucas probable-prime test of an odd n > 41 with no factor
+    below 43, with Selfridge's parameters: D the first of 5, -7, 9, -11, ...
+    with (D/n) = -1, P = 1 and Q = (1 - D)/4 (Baillie and Wagstaff, Math.
+    Comp. 35, 1980)."""
+    if math.isqrt(n) ** 2 == n:
+        return False            # no D has (D/n) = -1
+    D = 5
+    while (j := _jacobi(D, n)) != -1:
+        if j == 0:
+            return False        # gcd(|D|, n) > 1 and |D| < n
+        D = -D - 2 if D > 0 else -D + 2
+    Q = (1 - D) // 4
+    d, s = n + 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+
+    def half(x):
+        return (x if x % 2 == 0 else x + n) // 2
+
+    # U_k, V_k and Q^k mod n, from k = 0 along the bits of d.
+    U, V, Qk = 0, 2, 1
+    for bit in bin(d)[2:]:
+        U, V, Qk = U * V % n, (V * V - 2 * Qk) % n, Qk * Qk % n
+        if bit == "1":
+            U, V, Qk = half((U + V) % n), half((D * U + V) % n), Qk * Q % n
+    if U == 0 or V == 0:
+        return True
+    for _ in range(s - 1):
+        V, Qk = (V * V - 2 * Qk) % n, Qk * Qk % n
+        if V == 0:
+            return True
+    return False
 
 
 def factorize(n):
@@ -104,15 +166,7 @@ class Field:
         return self.mul(a, self.inv(b))
 
     def pow_el(self, a, e):
-        if e < 0:
-            a, e = self.inv(a), -e
-        result = self.one
-        while e:
-            if e & 1:
-                result = self.mul(result, a)
-            a = self.mul(a, a)
-            e >>= 1
-        return result
+        raise NotImplementedError
 
     def canonical_min(self, a):
         """The canonically-smaller of {a, -a}; fixes signs reproducibly."""
@@ -256,6 +310,9 @@ class Rationals(Field):
             raise ZeroDivisionError("inverse of 0")
         return 1 / a
 
+    def pow_el(self, a, e):
+        return a ** e
+
     def canonical_min(self, a):
         return abs(a)
 
@@ -281,12 +338,18 @@ class Rationals(Field):
 
     def poly_gcd(self, a, b):
         """Primitive PRS on integer polynomials, which keeps coefficient
-        growth in check at large degree."""
+        growth in check at large degree.  Coprime images modulo a prime that
+        divides neither leading coefficient settle a gcd of 1 first: a common
+        factor over Q divides both in Z[x], and keeps its degree mod p."""
         fa, fb = _to_zz(a), _to_zz(b)
         if not fa:
             return self._poly_monic(b)
         if not fb:
             return self._poly_monic(a)
+        for p in _GCD_PRIMES:
+            if fa[-1] % p and fb[-1] % p and _kernel_py.pgcd(
+                    [c % p for c in fa], [c % p for c in fb], p) == [1]:
+                return [self.one]
         if len(fa) < len(fb):
             fa, fb = fb, fa
         while fb:
@@ -301,6 +364,10 @@ class Rationals(Field):
 
     def __repr__(self):
         return "Q"
+
+
+# The primes whose images Rationals.poly_gcd tries before the PRS.
+_GCD_PRIMES = (10007, 10009, 10037, 10039, 10061)
 
 
 def _to_zz(a):
@@ -602,11 +669,12 @@ class ExtField(FiniteFieldMixin, Field):
         self.order = p ** m
         if modulus is None:
             modulus = find_irreducible(p, m, seed=seed)
-        modulus = [c % p for c in modulus]
-        if len(modulus) != m + 1 or modulus[-1] != 1:
-            raise FieldError(f"modulus must be monic of degree {m}")
-        if not _is_irreducible(modulus, p):
-            raise FieldError("modulus is reducible over GF(p)")
+        else:
+            modulus = [c % p for c in modulus]
+            if len(modulus) != m + 1 or modulus[-1] != 1:
+                raise FieldError(f"modulus must be monic of degree {m}")
+            if not _is_irreducible(modulus, p):
+                raise FieldError("modulus is reducible over GF(p)")
         self.modulus = tuple(modulus)
         self._mod_list = list(modulus)
         self.zero = 0
@@ -749,14 +817,14 @@ def nth_roots_of_unity(F, n):
         raise InsufficientFieldError(
             f"{F!r} lacks {n}-th roots of unity; need extension of degree {d}",
             extension_degree=d)
-    for z in F.elements():
-        if z == F.zero:
-            continue
-        if F.multiplicative_order(z, n_divides=n) == n:
-            zeta = z
+    # z^((q-1)/n) is a primitive n-th root for z = 1, 2, ... soon enough;
+    # the least one is then the least of its powers prime to n.
+    for i in range(1, q):
+        zeta = F.pow_el(F.from_index(i), (q - 1) // n)
+        if F.multiplicative_order(zeta, n_divides=n) == n:
             break
-    else:  # pragma: no cover - cyclic unit group guarantees a generator
-        raise FieldError("no primitive root found")
+    zeta = min((F.pow_el(zeta, k) for k in range(1, n) if math.gcd(k, n) == 1),
+               key=F.to_index)
     roots, acc = [], F.one
     for _ in range(n - 1):
         acc = F.mul(acc, zeta)

@@ -10,6 +10,7 @@ decides existence first when the divisor count is large.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 from .fields import factorize
@@ -58,6 +59,17 @@ class TotientPartition:
 
 _EXHAUSTIVE_LIMIT = 20
 
+# The most subsets a certificate search may try.  At about 0.3 us a subset
+# (2-core host) the largest search allowed takes about 0.6 s.  45045 needs
+# 1,729,647 (all subsets of size <= 5); the scan to 5001 tries at most
+# 524,287 (4455); 99645, whose smallest certificate has 9 of its 31
+# divisors above 1, would try more than 11 million (sizes <= 8 alone).
+MAX_CERT_SUBSETS = 2_000_000
+
+
+class SearchTooLongError(ValueError):
+    """The certificate search would try more than MAX_CERT_SUBSETS subsets."""
+
 
 def _subset_sum_exists(weights, target):
     """Bitset subset-sum: is some subset of weights summing to target?"""
@@ -70,7 +82,9 @@ def _subset_sum_exists(weights, target):
 
 
 def hyperelliptic_cert(n):
-    """A TotientPartition for odd n >= 3, or None if none exists."""
+    """A TotientPartition for odd n >= 3, or None if none exists.  Raises
+    SearchTooLongError before a subset size that would take the subsets
+    tried past MAX_CERT_SUBSETS."""
     if n < 3 or n % 2 == 0:
         raise ValueError(f"n must be odd and >= 3, got {n}")
     g = (n - 1) // 2
@@ -78,12 +92,20 @@ def hyperelliptic_cert(n):
     divs.sort(reverse=True)
     phis = {d: totient(d) for d in divs}
     usable = [d for d in divs if phis[d] <= g]
-    if len(divs) > _EXHAUSTIVE_LIMIT:
-        if not _subset_sum_exists([phis[d] for d in usable], g):
-            return None
+    weights = [phis[d] for d in usable]
+    if len(divs) > _EXHAUSTIVE_LIMIT and not _subset_sum_exists(weights, g):
+        return None
+    tried = 0
     for size in range(1, len(usable) + 1):
-        for combo in itertools.combinations(usable, size):
-            if sum(phis[d] for d in combo) == g:
+        tried += math.comb(len(usable), size)
+        if tried > MAX_CERT_SUBSETS:
+            raise SearchTooLongError(
+                f"the certificate search for n = {n} would try more than "
+                f"{MAX_CERT_SUBSETS} subsets of its divisors")
+        # the totient tuples run in step with the divisor tuples
+        for ws, combo in zip(itertools.combinations(weights, size),
+                             itertools.combinations(usable, size)):
+            if sum(ws) == g:
                 s1 = set(combo)
                 s2 = tuple(d for d in divs if d not in s1)
                 return TotientPartition(n, combo, s2)

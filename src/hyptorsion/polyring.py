@@ -9,8 +9,7 @@ the field alone decides which arithmetic backs its polynomials.
 
 from __future__ import annotations
 
-from . import _kernel_py
-from .fields import Field, Rationals, _to_zz
+from .fields import Field, Rationals
 
 
 class Poly:
@@ -83,9 +82,9 @@ class Poly:
             if i == 0:
                 terms.append(f"{c}")
             elif i == 1:
-                terms.append(f"({c})*x" if not _is_one(self.ctx, c) else "x")
+                terms.append(f"({c})*x" if c != self.ctx.one else "x")
             else:
-                terms.append(f"({c})*x^{i}" if not _is_one(self.ctx, c) else f"x^{i}")
+                terms.append(f"({c})*x^{i}" if c != self.ctx.one else f"x^{i}")
         return "Poly(" + " + ".join(terms) + ")"
 
     # -- ring operations: the field context owns the arithmetic -------------
@@ -185,13 +184,6 @@ class Poly:
         return cls(ctx, [ctx.elem_from_json(c) for c in arr])
 
 
-def _is_one(ctx, c):
-    return c == ctx.one
-
-
-_SQFREE_PRIMES = (10007, 10009, 10037, 10039, 10061)
-
-
 def is_squarefree(f: Poly) -> bool:
     """True iff gcd(f, f') = 1; zero derivative in char p means a p-th power."""
     if f.is_zero:
@@ -201,17 +193,6 @@ def is_squarefree(f: Poly) -> bool:
     d = f.derivative()
     if d.is_zero:
         return False
-    if isinstance(f.ctx, Rationals):
-        # A squarefree modular image certifies squarefreeness over Q; the
-        # exact PRS gcd decides the (rare) remaining cases.
-        ints = _to_zz(f.coeffs)
-        for p in _SQFREE_PRIMES:
-            if ints[-1] % p == 0:
-                continue
-            fa = _kernel_py.ptrim([c % p for c in ints])
-            da = _kernel_py.ptrim([(i * ints[i]) % p for i in range(1, len(ints))])
-            if da and _kernel_py.pgcd(fa, da, p) == [1]:
-                return True
     return f.gcd(d).degree == 0
 
 
@@ -243,10 +224,9 @@ def poly_sqrt(h: Poly):
     inv2t0 = ctx.inv(ctx.add(t0, t0))
     t = [t0]
     for k in range(1, n + 1):
-        acc = body[k] if k < len(body) else ctx.zero
+        acc = body[k]
         for i in range(1, k):
-            if i <= n and k - i <= len(t) - 1:
-                acc = ctx.sub(acc, ctx.mul(t[i], t[k - i]))
+            acc = ctx.sub(acc, ctx.mul(t[i], t[k - i]))
         t.append(ctx.mul(acc, inv2t0))
     root = Poly(ctx, [ctx.zero] * (val // 2) + t)
     if root * root != h:

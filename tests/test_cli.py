@@ -542,3 +542,82 @@ def test_kernel_operands_carry_no_trailing_zeros(capsys, monkeypatch, tabled):
     assert {"pmul", "pdivmod", "pxgcd", "ppowmod"} <= set(calls)
     if not tabled:
         assert {"pmulmod", "pinvmod"} <= set(calls)
+
+
+# -- primality, roots of unity and the certificate search ---------------------
+
+@pytest.mark.parametrize("p", ["318665857834031151167461",      # strong
+                               "3317044064679887385961981"])    # pseudoprimes
+def test_pseudoprime_field_is_refused(capsys, p):
+    code, out = run(capsys, ["verify", "--field", f"GF:{p}", "--g", "2",
+                             "--curve", "x^5+1", "--point", "(0,1)", "--oracle"])
+    assert code == 1 and out["code"] == "FieldError"
+
+
+def test_weil_over_a_large_prime_field(capsys):
+    start = time.perf_counter()
+    code, out = run(capsys, ["weil", "--field", "GF:1000000021", "--g", "2",
+                             "--I", "0,1"])
+    assert time.perf_counter() - start < 1
+    assert code == 0 and out["payload"]["match"] is True
+
+
+def test_hyperelliptic_n_subset_bound(capsys):
+    # 99645 and 201285 pass the divisor bound, but their smallest
+    # certificates (9 and 7 divisors) lie past numth.MAX_CERT_SUBSETS
+    for n in ("99645", "201285"):
+        start = time.perf_counter()
+        code, out = run(capsys, ["hyperelliptic", "--n", n])
+        assert time.perf_counter() - start < 1
+        assert code == 1 and out["code"] == "bad-args"
+    code, out = run(capsys, ["hyperelliptic", "--n", "45045"])
+    assert code == 0 and out["payload"]["cert"]["n"] == 45045
+
+
+# -- success payloads of construct-pair, weil --mu and rational-g52 -----------
+
+def test_construct_pair_payload(capsys):
+    from hyptorsion.families import nice_pairs_coprime
+    from hyptorsion.torsion import PairCert, make_pair
+    F = PrimeField(11)
+    t = next(t for t in nice_pairs_coprime(F, 2) if t.I == (0, 1))
+    u1, u2 = t.u_pair(F, F.coerce(2))
+    code, out = run(capsys, ["construct-pair", "--field", "GF:11", "--g", "2",
+                             "--a1", "0", "--a2", "10",
+                             "--u1", json.dumps(u1.to_json()),
+                             "--u2", json.dumps(u2.to_json())])
+    assert code == 0
+    pl = out["payload"]
+    assert pl["P"]["x"] == 0 and pl["Q"]["x"] == 10
+    enh = make_pair(F, 2, PairCert(2, 0, 10, u1, u2))
+    assert pl["curve"] == enh.C.to_json()
+    for name in ("P", "Q"):
+        point = f"({pl[name]['x']},{pl[name]['y']})"
+        code, out = run(capsys, ["verify", "--field", "GF:11", "--g", "2",
+                                 "--curve", json.dumps(pl["curve"]["f"]),
+                                 "--point", point, "--oracle"])
+        assert code == 0 and out["payload"]["oracle_order"] == 5
+
+
+@pytest.mark.parametrize("field, g, I", [("GF:11", "2", "0,1"),
+                                         ("GF:29", "3", "0,2,4")])
+def test_weil_with_the_reported_mu(capsys, field, g, I):
+    argv = ["weil", "--field", field, "--g", g, "--I", I]
+    code, scanned = run(capsys, argv)
+    assert code == 0
+    code, given_mu = run(capsys, argv + ["--mu", str(scanned["payload"]["mu"])])
+    assert code == 0 and given_mu == scanned
+
+
+def test_rational_g52_payload(capsys):
+    from hyptorsion.jacobian import AffinePoint, Curve
+    from hyptorsion.torsion import verify_single
+    code, out = run(capsys, ["rational-g52"])
+    assert code == 0
+    pl, F = out["payload"], Rationals()
+    assert pl["order"] == 105
+    C = Curve(F, 52, Poly.from_json(F, pl["curve"]["f"]))
+    points = [AffinePoint.from_json(F, P) for P in pl["points"]]
+    assert len(set(points)) == 4
+    for P in points:
+        assert verify_single(C, P) is not None

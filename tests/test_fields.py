@@ -16,6 +16,45 @@ def test_is_prime():
     assert not is_prime(2 ** 67 - 1)
 
 
+# The least strong pseudoprimes to the first 12 and to the first 13 prime
+# bases: 399165290221 * 798330580441 and 1287836182261 * 2575672364521.
+PSI_12 = 318665857834031151167461
+PSI_13 = 3317044064679887385961981
+
+
+class TestIsPrime:
+    def test_refuses_strong_pseudoprimes_and_carmichael_numbers(self):
+        assert PSI_12 == 399165290221 * 798330580441
+        assert PSI_13 == 1287836182261 * 2575672364521
+        for n in (PSI_12, PSI_13, 561, 41041, 825265):
+            assert not is_prime(n), n
+
+    def test_accepts_large_primes(self):
+        assert is_prime(2 ** 89 - 1) and is_prime(2 ** 127 - 1)
+        # 2^128 - 159 is the largest prime below 2^128
+        assert next(n for n in range(2 ** 128 - 1, 0, -2) if is_prime(n)) \
+            == 2 ** 128 - 159
+
+    def test_agrees_with_a_sieve(self):
+        sieve = [True] * 10 ** 5
+        sieve[0] = sieve[1] = False
+        for i in range(2, 317):
+            if sieve[i]:
+                sieve[i * i::i] = [False] * len(range(i * i, 10 ** 5, i))
+        assert [is_prime(n) for n in range(10 ** 5)] == sieve
+
+    def test_strong_lucas_pseudoprimes(self):
+        # Below 5 * 10^4 the strong Lucas test with Selfridge's parameters
+        # passes every prime and exactly these composites (OEIS A217255).
+        candidates = [n for n in range(43, 5 * 10 ** 4, 2)
+                      if all(n % p for p in fields._MR_BASES)]
+        passed = [n for n in candidates if fields._is_strong_lucas_prp(n)]
+        assert [n for n in passed if not is_prime(n)] == [
+            5459, 5777, 10877, 16109, 18971, 22499, 24569, 25199, 40309]
+        assert [n for n in candidates if is_prime(n)] \
+            == [n for n in passed if is_prime(n)]
+
+
 class TestRationals:
     F = Rationals()
 
@@ -30,6 +69,26 @@ class TestRationals:
         assert self.F.sqrt(Fraction(9, 4)) == Fraction(3, 2)
         assert self.F.sqrt(Fraction(2)) is None
         assert self.F.sqrt(Fraction(-1)) is None
+
+    def test_poly_gcd_matches_the_prs(self, monkeypatch):
+        # The modular shortcut answers only gcd 1; with it and without it
+        # (no primes to try) the gcd is the same, with and without a planted
+        # common factor.
+        rng = random.Random(14)
+        F = self.F
+
+        def draw(deg):
+            return [Fraction(rng.randrange(-9, 10), rng.randrange(1, 5))
+                    for _ in range(deg)] + [Fraction(rng.randrange(1, 9))]
+
+        cases = []
+        for _ in range(40):
+            a, b, h = draw(rng.randrange(0, 6)), draw(rng.randrange(0, 6)), draw(2)
+            cases += [(a, b), (F.poly_mul(a, h), F.poly_mul(b, h))]
+        with_shortcut = [F.poly_gcd(a, b) for a, b in cases]
+        monkeypatch.setattr(fields, "_GCD_PRIMES", ())
+        assert with_shortcut == [F.poly_gcd(a, b) for a, b in cases]
+        assert sum(len(g) > 1 for g in with_shortcut) >= 40
 
     def test_json(self):
         assert self.F.elem_to_json(Fraction(-3, 7)) == "-3/7"
@@ -186,6 +245,26 @@ class TestTableField:
         assert list(fields._TABLES) == [(3, m) for m in moduli[1:]]
 
 
+def test_found_modulus_is_tested_once(monkeypatch):
+    # ExtField tests only a modulus the caller supplies; one that
+    # find_irreducible returns has passed the same test already.
+    calls = []
+    is_irreducible = fields._is_irreducible
+
+    def counted(modulus, p):
+        calls.append(tuple(modulus))
+        return is_irreducible(modulus, p)
+
+    monkeypatch.setattr(fields, "_is_irreducible", counted)
+    for p, m, seed in ((3, 4, 0), (5, 3, 1), (29, 2, 3), (7, 1, 0)):
+        find_irreducible(p, m, seed=seed)
+        alone = calls[:]
+        calls.clear()
+        ExtField(p, m, seed=seed)
+        assert calls == alone, (p, m)
+        calls.clear()
+
+
 def test_find_irreducible_deterministic():
     assert find_irreducible(5, 4, seed=1) == find_irreducible(5, 4, seed=1)
     assert len(find_irreducible(5, 4)) == 5
@@ -213,6 +292,28 @@ class TestRootsOfUnity:
         with pytest.raises(InsufficientFieldError) as exc:
             nth_roots_of_unity(Rationals(), 5)
         assert exc.value.extension_degree == 4  # phi(5)
+
+    @staticmethod
+    def scan(F, n):
+        """M(n) as powers of the least-index element of order n, found by
+        walking the field."""
+        zeta = next(z for z in F.elements()
+                    if z != F.zero and F.multiplicative_order(z, n_divides=n) == n)
+        roots, acc = [], F.one
+        for _ in range(n - 1):
+            acc = F.mul(acc, zeta)
+            roots.append(acc)
+        return roots
+
+    def test_matches_the_scan(self):
+        checked = 0
+        for F in (PrimeField(11), PrimeField(29), PrimeField(31), PrimeField(43),
+                  ExtField(29, 2), ExtField(11, 3), ExtField(3, 4), ExtField(5, 2)):
+            for n in (3, 5, 7, 9, 11, 13, 15, 21, 25):
+                if n % F.char and (F.order - 1) % n == 0:
+                    assert nth_roots_of_unity(F, n) == self.scan(F, n), (F, n)
+                    checked += 1
+        assert checked == 17
 
     def test_char_divides_rejected(self):
         with pytest.raises(FieldError):

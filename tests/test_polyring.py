@@ -133,6 +133,19 @@ class TestSquarefree:
         assert is_squarefree(f)
         assert not is_squarefree(f * cyclotomic(5))
 
+    def test_criterion_6_curve_needs_no_prs(self, monkeypatch):
+        # Rationals.poly_gcd settles a gcd of 1 by modular images, so the
+        # degree-105 curve of criterion 6 never reaches the integer PRS.
+        from hyptorsion import fields
+        from hyptorsion.families import rational_four_torsion
+        C = rational_four_torsion(52)[0]
+
+        def prem(a, b):
+            raise AssertionError("the PRS ran")
+
+        monkeypatch.setattr(fields, "_zz_prem", prem)
+        assert C.f.degree == 105 and is_squarefree(C.f)
+
 
 class TestReverseScale:
     def test_example(self):

@@ -119,6 +119,16 @@ class TestPairs:
         with pytest.raises(CertError):
             recover_pair(C, P, involution(P, F5))
 
+    def test_weierstrass_point_rejected(self):
+        # at mu = 3 the curve of I = (0, 1) has a root of f in GF(11)
+        enh = make_pair(F11, 2, _template_cert(F11, 2, (0, 1), F11.coerce(3)))
+        W = next(pt for x0 in F11.elements() for pt in points_with_x(enh.C, x0)
+                 if pt.y == F11.zero)
+        with pytest.raises(CertError):
+            recover_pair(enh.C, enh.P, W)
+        with pytest.raises(CertError):
+            recover_pair(enh.C, W, enh.Q)
+
     def test_evaluation_identities(self):
         cert = _template_cert(F11, 2, (0, 2), F11.one)
         rhs = F11.pow_el(F11.sub(cert.a1, cert.a2), 5)
