@@ -4,11 +4,12 @@ Polynomials are accepted either as JSON coefficient arrays (ascending) or in
 a restricted human syntax like "x^5+(x+1)^2"; fields as "Q", "GF:p" or
 "GF:p,m".  Every command prints a CommandResult object
 {"status": ..., "payload": ..., "provenance": ..., "backend": ...} and exits 0
-on success; "backend" names the GF(p) kernels that ran, always "pure".
+on success; "backend" names the field arithmetic that ran, always "pure"
+(the pure-Python loops of `fields`).
 
 Importing this module loads only the core (fields, polyring, jacobian,
-torsion and the kernels); a command that needs families, pairing, numth or the
-acceptance suite imports it when it runs.
+torsion and kernels, which names the backend); a command that needs families,
+pairing, numth or the acceptance suite imports it when it runs.
 """
 
 from __future__ import annotations
@@ -46,13 +47,14 @@ def parse_field(spec: str, seed=0):
 
 
 # The largest extension degree m accepted for GF(p^m): GF(3^32) takes about
-# half a second to build, GF(3^40) about two.
+# 0.8 s to build, GF(3^40) about three (seed 0, 2-core host).
 MAX_EXT_DEGREE = 32
 
 # GF(p^m) may have at most 2^MAX_FIELD_BITS elements.  The search for a
-# modulus also grows with p: GF(13^32) (118 bits) takes about a second to
-# build, GF(257^32) (256 bits) about three and GF(2147483659^24) (744 bits)
-# about six.
+# modulus also grows with p: at seed 0, GF(13^32) (118 bits) takes about
+# three seconds to build, GF(257^32) (256 bits) about five and
+# GF(2147483659^24) (744 bits) about seven.  The search's length depends on
+# the seed: GF(13^32) takes 14 s at seed 1.
 MAX_FIELD_BITS = 128
 
 # The largest field a census may enumerate.  Over GF(3^8) (6,561 elements) a
@@ -393,7 +395,7 @@ def cmd_weil(args):
         mu, cert, _ = find_good_mu(F, args.g, t)
     explicit = weil_explicit(F, args.g, cert)
     closed = weil_closed(F, args.g, I)
-    payload = weil_result_json(F, args.g, I, explicit, closed)
+    payload = weil_result_json(F, I, explicit, closed)
     payload["mu"] = F.elem_to_json(mu)
     return payload, "weil-pairing-two-routes"
 

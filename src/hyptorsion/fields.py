@@ -9,9 +9,10 @@ _TABLE_MAX elements, GF(p^m) arithmetic is exp/log/Zech-logarithm table
 lookup; above it, each operation reduces modulo the defining polynomial.
 
 Each field also owns the arithmetic of polynomials over it, on coefficient
-sequences (`poly_add`, ..., `poly_eval`): GF(p) hands them to the kernels,
-Q takes gcds by modular images and then a primitive PRS over the integers,
-and GF(p^m) runs the generic loops over its element operations.
+sequences (`poly_add`, ..., `poly_invmod`): GF(p) and GF(p^m) run the
+generic loops of `Field` over their element operations, and Q takes gcds by
+modular images and then a primitive PRS over the integers.  Untabled GF(p^m)
+elements and the modulus search run on the polynomials of one GF(p).
 """
 
 from __future__ import annotations
@@ -19,8 +20,6 @@ from __future__ import annotations
 import math
 import random
 from fractions import Fraction
-
-from . import _kernel_py
 
 
 class FieldError(Exception):
@@ -188,9 +187,10 @@ class Field:
     # -- polynomials ---------------------------------------------------------
     # A polynomial is a sequence of coefficients, lowest degree first.  The
     # results carry no trailing zeros when the operands carry none; a divisor
-    # and the operands of poly_gcd and poly_xgcd must carry none.  These
-    # bodies are the generic loops over the element operations; a field with
-    # its own polynomial arithmetic overrides them.
+    # and the operands of poly_gcd, poly_xgcd and the modulus of the *mod
+    # methods must carry none.  These bodies are the generic loops over the
+    # element operations; a field with its own polynomial arithmetic
+    # overrides them.
 
     def poly_add(self, a, b):
         n = max(len(a), len(b))
@@ -205,19 +205,19 @@ class Field:
     def poly_mul(self, a, b):
         if not a or not b:
             return []
-        zero = self.zero
+        zero, add, mul = self.zero, self.add, self.mul
         out = [zero] * (len(a) + len(b) - 1)
         for i, x in enumerate(a):
             if x == zero:
                 continue
             for j, y in enumerate(b):
-                out[i + j] = self.add(out[i + j], self.mul(x, y))
+                out[i + j] = add(out[i + j], mul(x, y))
         return out
 
     def poly_divmod(self, a, b):
         if not b:
             raise ZeroDivisionError("polynomial division by zero")
-        zero = self.zero
+        zero, sub, mul = self.zero, self.sub, self.mul
         r = list(a)
         db = len(b) - 1
         if len(r) <= db:
@@ -228,10 +228,10 @@ class Field:
             c = r[i]
             if c == zero:
                 continue
-            factor = self.mul(c, inv_lead)
+            factor = mul(c, inv_lead)
             q[i - db] = factor
             for j in range(db + 1):
-                r[i - db + j] = self.sub(r[i - db + j], self.mul(factor, b[j]))
+                r[i - db + j] = sub(r[i - db + j], mul(factor, b[j]))
         return _trim(q, zero), _trim(r[:db], zero)
 
     def poly_gcd(self, a, b):
@@ -256,10 +256,32 @@ class Field:
         return tuple([self.mul(inv, c) for c in p] for p in (r0, s0, t0))
 
     def poly_eval(self, a, x):
+        add, mul = self.add, self.mul
         acc = self.zero
         for c in reversed(a):
-            acc = self.add(self.mul(acc, x), c)
+            acc = add(mul(acc, x), c)
         return acc
+
+    def poly_mulmod(self, a, b, mod):
+        return self.poly_divmod(self.poly_mul(a, b), mod)[1]
+
+    def poly_powmod(self, a, e, mod):
+        """a^e modulo mod, for e >= 0, by right-to-left binary powering."""
+        result, base = [self.one], self.poly_divmod(a, mod)[1]
+        while e:
+            if e & 1:
+                result = self.poly_mulmod(result, base, mod)
+            base = self.poly_mulmod(base, base, mod)
+            e >>= 1
+        return result
+
+    def poly_invmod(self, a, mod):
+        """The inverse of a modulo mod, reduced; raises ZeroDivisionError
+        when they are not coprime."""
+        g, s, _ = self.poly_xgcd(a, mod)
+        if g != [self.one]:
+            raise ZeroDivisionError("element not invertible")
+        return self.poly_divmod(s, mod)[1]
 
     def _poly_monic(self, a):
         if not a:
@@ -346,9 +368,10 @@ class Rationals(Field):
             return self._poly_monic(b)
         if not fb:
             return self._poly_monic(a)
-        for p in _GCD_PRIMES:
-            if fa[-1] % p and fb[-1] % p and _kernel_py.pgcd(
-                    [c % p for c in fa], [c % p for c in fb], p) == [1]:
+        for F in _GCD_FIELDS:
+            p = F.p
+            if fa[-1] % p and fb[-1] % p and F.poly_gcd(
+                    [c % p for c in fa], [c % p for c in fb]) == [1]:
                 return [self.one]
         if len(fa) < len(fb):
             fa, fb = fb, fa
@@ -364,10 +387,6 @@ class Rationals(Field):
 
     def __repr__(self):
         return "Q"
-
-
-# The primes whose images Rationals.poly_gcd tries before the PRS.
-_GCD_PRIMES = (10007, 10009, 10037, 10039, 10061)
 
 
 def _to_zz(a):
@@ -530,29 +549,6 @@ class PrimeField(FiniteFieldMixin, Field):
     def to_json(self):
         return {"kind": "GF", "p": self.p}
 
-    # Polynomials over GF(p) are the kernels' lists of residues.
-
-    def poly_add(self, a, b):
-        return _kernel_py.padd(list(a), list(b), self.p)
-
-    def poly_sub(self, a, b):
-        return _kernel_py.psub(list(a), list(b), self.p)
-
-    def poly_mul(self, a, b):
-        return _kernel_py.pmul(list(a), list(b), self.p)
-
-    def poly_divmod(self, a, b):
-        return _kernel_py.pdivmod(list(a), list(b), self.p)
-
-    def poly_gcd(self, a, b):
-        return _kernel_py.pgcd(list(a), list(b), self.p)
-
-    def poly_xgcd(self, a, b):
-        return _kernel_py.pxgcd(list(a), list(b), self.p)
-
-    def poly_eval(self, a, x):
-        return _kernel_py.peval(list(a), x, self.p)
-
     def __eq__(self, other):
         return isinstance(other, PrimeField) and other.p == self.p
 
@@ -563,18 +559,22 @@ class PrimeField(FiniteFieldMixin, Field):
         return f"GF({self.p})"
 
 
+# The prime fields whose images Rationals.poly_gcd tries before the PRS.
+_GCD_FIELDS = tuple(map(PrimeField, (10007, 10009, 10037, 10039, 10061)))
+
+
 def _is_irreducible(modulus, p):
     """Irreducibility over GF(p) of a monic modulus, via Frobenius powers."""
     m = len(modulus) - 1
     if m <= 0:
         return False
-    x = _kernel_py.pdivmod([0, 1], modulus, p)[1]     # x mod f, not x when m = 1
-    xq = _kernel_py.ppowmod(x, p ** m, modulus, p)
-    if _kernel_py.psub(xq, x, p):
+    F = PrimeField(p)
+    x = F.poly_divmod([0, 1], modulus)[1]     # x mod f, not x when m = 1
+    if F.poly_sub(F.poly_powmod(x, p ** m, modulus), x):
         return False
     for r in factorize(m):
-        xd = _kernel_py.ppowmod(x, p ** (m // r), modulus, p)
-        if _kernel_py.pgcd(_kernel_py.psub(xd, x, p), modulus, p) != [1]:
+        xd = F.poly_powmod(x, p ** (m // r), modulus)
+        if F.poly_gcd(F.poly_sub(xd, x), modulus) != [1]:
             return False
     return True
 
@@ -630,16 +630,17 @@ def _tables(p, modulus):
 
 
 def _build_tables(p, mod):
+    F = PrimeField(p)
     q = p ** (len(mod) - 1)
     n = q - 1
     cofactors = [n // r for r in factorize(n)]
     for gen in range(2, q):
         g = _digits(gen, p)
-        if all(_kernel_py.ppowmod(g, e, mod, p) != [1] for e in cofactors):
+        if all(F.poly_powmod(g, e, mod) != [1] for e in cofactors):
             break
     exp, acc = [1], [1]
     for _ in range(n - 1):
-        acc = _kernel_py.pmulmod(acc, g, mod, p)
+        acc = F.poly_mulmod(acc, g, mod)
         exp.append(_index(acc, p))
     log = [None] * q
     for i, a in enumerate(exp):
@@ -657,10 +658,7 @@ class ExtField(FiniteFieldMixin, Field):
     polynomial sum(c_j x^j) modulo the defining polynomial."""
 
     def __init__(self, p, m, modulus=None, seed=0):
-        if p == 2:
-            raise FieldError("characteristic 2 is not supported")
-        if not is_prime(p):
-            raise FieldError(f"{p} is not an odd prime")
+        self._base = PrimeField(p)      # refuses p = 2 and a composite p
         if m < 1:
             raise FieldError(f"extension degree must be positive, got {m}")
         self.p = p
@@ -680,7 +678,7 @@ class ExtField(FiniteFieldMixin, Field):
         self.zero = 0
         self.one = 1
         # Without tables (log is None) every operation goes index -> digit
-        # list -> kernel -> index.
+        # list -> polynomial over GF(p) -> index.
         self._exp = self._log = self._zech = self._neg = None
         if self.order <= _TABLE_MAX:
             self._exp, self._log, self._zech, self._neg = _tables(p, self.modulus)
@@ -696,7 +694,7 @@ class ExtField(FiniteFieldMixin, Field):
         log = self._log
         if log is None:
             p = self.p
-            return _index(_kernel_py.padd(_digits(a, p), _digits(b, p), p), p)
+            return _index(self._base.poly_add(_digits(a, p), _digits(b, p)), p)
         # g^i + g^j = g^(i + zech[j - i]); a negative index into zech wraps
         # modulo q - 1 as the exponent does.
         i = log[a]
@@ -706,7 +704,7 @@ class ExtField(FiniteFieldMixin, Field):
     def sub(self, a, b):
         if self._log is None:
             p = self.p
-            return _index(_kernel_py.psub(_digits(a, p), _digits(b, p), p), p)
+            return _index(self._base.poly_sub(_digits(a, p), _digits(b, p)), p)
         return self.add(a, self._neg[b])
 
     def mul(self, a, b):
@@ -715,14 +713,14 @@ class ExtField(FiniteFieldMixin, Field):
         log = self._log
         if log is None:
             p = self.p
-            return _index(_kernel_py.pmulmod(_digits(a, p), _digits(b, p),
-                                             self._mod_list, p), p)
+            return _index(self._base.poly_mulmod(_digits(a, p), _digits(b, p),
+                                                 self._mod_list), p)
         return self._exp[log[a] + log[b]]
 
     def neg(self, a):
         if self._neg is None:
             p = self.p
-            return _index(_kernel_py.pneg(_digits(a, p), p), p)
+            return _index(self._base.poly_sub([], _digits(a, p)), p)
         return self._neg[a]
 
     def inv(self, a):
@@ -731,7 +729,7 @@ class ExtField(FiniteFieldMixin, Field):
         log = self._log
         if log is None:
             p = self.p
-            return _index(_kernel_py.pinvmod(_digits(a, p), self._mod_list, p), p)
+            return _index(self._base.poly_invmod(_digits(a, p), self._mod_list), p)
         return self._exp[self.order - 1 - log[a]]
 
     def pow_el(self, a, e):
@@ -740,14 +738,10 @@ class ExtField(FiniteFieldMixin, Field):
         log = self._log
         if log is None:
             p = self.p
-            return _index(_kernel_py.ppowmod(_digits(a, p), e, self._mod_list, p), p)
+            return _index(self._base.poly_powmod(_digits(a, p), e, self._mod_list), p)
         if not a:
             return 0 if e else 1
         return self._exp[log[a] * e % (self.order - 1)]
-
-    def embed(self, a):
-        """Constant embedding of a GF(p) residue into this field."""
-        return self.coerce(a)
 
     def elem_to_json(self, a):
         coeffs = _digits(a, self.p)

@@ -66,7 +66,7 @@ def weil_closed(F, g, I):
     return acc
 
 
-def weil_result_json(F, g, I, explicit, closed):
+def weil_result_json(F, I, explicit, closed):
     return {
         "I": sorted(I),
         "explicit": F.elem_to_json(explicit),

@@ -507,29 +507,30 @@ def test_hyperelliptic_n_bounds(capsys):
     assert code == 0 and out["payload"]["cert"]["n"] == 45045
 
 
-# The kernels are defined only on operands without trailing zeros: on
-# [1, 0] pmul keeps a trailing zero in its product and pinvmod does not end.
-KERNELS = ("padd", "psub", "pneg", "pscale", "pmul", "pdivmod", "pmonic",
-           "pgcd", "pxgcd", "peval", "pmulmod", "ppowmod", "pinvmod")
+# The fields' polynomial arithmetic is defined on divisors and gcd operands
+# without trailing zeros: [1, 0] as a divisor has a zero leading coefficient.
+# The CLI passes trimmed operands to every entry point.
+POLY_METHODS = ("poly_add", "poly_sub", "poly_mul", "poly_divmod", "poly_gcd",
+                "poly_xgcd", "poly_eval", "poly_mulmod", "poly_powmod", "poly_invmod")
 
 
 @pytest.mark.parametrize("tabled", [True, False])
 def test_kernel_operands_carry_no_trailing_zeros(capsys, monkeypatch, tabled):
-    from hyptorsion import _kernel_py, fields
+    from hyptorsion import fields
     calls, untrimmed = collections.Counter(), []
 
     def checked(name, fn):
-        def call(*args):
+        def call(F, *args):
             calls[name] += 1
             untrimmed.extend((name, a) for a in args
-                             if isinstance(a, list) and a and a[-1] == 0)
-            return fn(*args)
+                             if isinstance(a, (list, tuple)) and a and a[-1] == F.zero)
+            return fn(F, *args)
         return call
 
-    for name in KERNELS:
-        monkeypatch.setattr(_kernel_py, name, checked(name, getattr(_kernel_py, name)))
+    for name in POLY_METHODS:
+        monkeypatch.setattr(fields.Field, name, checked(name, getattr(fields.Field, name)))
     monkeypatch.setattr(fields, "_TABLES", {})
-    if not tabled:   # GF(3^4) element arithmetic then runs on the kernels
+    if not tabled:   # GF(3^4) element arithmetic then runs on GF(3) polynomials
         monkeypatch.setattr(fields, "_TABLE_MAX", 0)
     for argv in (["census", "--p", "3", "--m", "4", "--g", "1",
                   "--curve", "x^3+(x+1)^2", "--n", "3"],
@@ -539,9 +540,9 @@ def test_kernel_operands_carry_no_trailing_zeros(capsys, monkeypatch, tabled):
         code, out = run(capsys, argv)
         assert code == 0, out
     assert untrimmed == []
-    assert {"pmul", "pdivmod", "pxgcd", "ppowmod"} <= set(calls)
+    assert {"poly_mul", "poly_divmod", "poly_xgcd", "poly_powmod"} <= set(calls)
     if not tabled:
-        assert {"pmulmod", "pinvmod"} <= set(calls)
+        assert {"poly_mulmod", "poly_invmod"} <= set(calls)
 
 
 # -- primality, roots of unity and the certificate search ---------------------

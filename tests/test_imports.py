@@ -16,7 +16,7 @@ ROOT = Path(__file__).resolve().parent.parent
 
 CORE = {"hyptorsion", "hyptorsion.cli", "hyptorsion.fields",
         "hyptorsion.polyring", "hyptorsion.jacobian", "hyptorsion.torsion",
-        "hyptorsion.kernels", "hyptorsion._kernel_py"}
+        "hyptorsion.kernels"}
 
 
 def test_cli_import_loads_only_the_core(run_fresh):
@@ -59,9 +59,12 @@ def test_unknown_name_raises_attribute_error():
 
 
 def test_fields_own_polynomial_arithmetic():
-    from hyptorsion import polyring
+    from hyptorsion import fields, polyring
     assert not hasattr(polyring.Poly, "_kp")
     assert not hasattr(polyring, "PrimeField")
+    # GF(p) runs the generic loops of Field, as GF(p^m) does
+    for cls in (fields.PrimeField, fields.ExtField):
+        assert not [name for name in vars(cls) if name.startswith("poly_")], cls
 
 
 def test_setup_py_builds_the_pure_package(tmp_path):

@@ -77,7 +77,7 @@ class TestExplicit:
     def test_result_json(self):
         cert = _family_cert(F11, 2, (0, 1))
         e = weil_explicit(F11, 2, cert)
-        j = weil_result_json(F11, 2, (0, 1), e, weil_closed(F11, 2, (0, 1)))
+        j = weil_result_json(F11, (0, 1), e, weil_closed(F11, 2, (0, 1)))
         assert j["match"] and j["I"] == [0, 1]
 
 

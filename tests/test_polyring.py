@@ -1,11 +1,12 @@
 import random
+import signal
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hyptorsion import _kernel_py, fields
+from hyptorsion import fields
 from hyptorsion.fields import ExtField, Field, PrimeField, Rationals
 from hyptorsion.polyring import (Poly, cyclotomic, diff_power, is_squarefree,
                                  poly_sqrt, reverse_scale)
@@ -296,9 +297,11 @@ def _trim(a, zero):
 
 
 class TestFieldPolyArithmetic:
-    """Every field's poly_* against the generic loops of the Field base
-    class, the oracle for each override."""
+    """Every field's poly_* methods: Q's override against the generic loops
+    of the Field base class, and the generic loops against their contract."""
 
+    # Q's poly_gcd is the one override of a generic body.
+    @pytest.mark.parametrize("poly_field", ["Q"], indirect=True)
     def test_overrides_match_generic_bodies(self, poly_field):
         F = poly_field
         trimmed, untrimmed = _operands(F, repr(F))
@@ -357,9 +360,10 @@ class TestFieldPolyArithmetic:
 
     @pytest.mark.parametrize("p", [3, 11, 2 ** 31 - 1])
     def test_kernels_outside_poly_methods(self, p):
-        """The GF(p) kernels that field construction and untabled GF(p^m)
-        elements call, not the poly_* methods, against the generic loops."""
-        F, k = PrimeField(p), _kernel_py
+        """The modular operations that field construction and untabled
+        GF(p^m) elements call, poly_mulmod, poly_powmod and poly_invmod over
+        GF(p), against a recursive reference on the generic loops."""
+        F = PrimeField(p)
         trimmed, _ = _operands(F, p)
         moduli = [m for m in trimmed if len(m) > 1]
 
@@ -375,29 +379,40 @@ class TestFieldPolyArithmetic:
 
         inverted = refused = 0
         for a in trimmed:
-            assert k.ptrim(a + [F.zero] * 2) == a
-            assert k.pneg(a, p) == Field.poly_sub(F, [], a), a
-            assert k.pmonic(a, p) == Field._poly_monic(F, a), a
-            for c in (0, 1, 2, p - 1):
-                assert k.pscale(a, c, p) == Field.poly_mul(F, a, [c] if c else []), (a, c)
             for m in moduli:
                 for b in trimmed:
-                    assert k.pmulmod(a, b, m, p) == mulmod(a, b, m), (a, b, m)
+                    assert F.poly_mulmod(a, b, m) == mulmod(a, b, m), (a, b, m)
                 for e in (0, 1, 2, 7, p - 1, p ** 3 + 5):
-                    assert k.ppowmod(a, e, m, p) == powmod(a, e, m), (a, e, m)
+                    assert F.poly_powmod(a, e, m) == powmod(a, e, m), (a, e, m)
                 if Field.poly_gcd(F, a, m) == [F.one]:
-                    inv = k.pinvmod(a, m, p)
+                    inv = F.poly_invmod(a, m)
                     assert len(inv) < len(m) and mulmod(a, inv, m) == [F.one], (a, m)
                     inverted += 1
                 else:
                     with pytest.raises(ZeroDivisionError):
-                        k.pinvmod(a, m, p)
+                        F.poly_invmod(a, m)
                     refused += 1
-            for name, args in (("pmulmod", (a, a)), ("ppowmod", (a, 2)),
-                               ("pinvmod", (a,))):
+            for name, args in (("poly_mulmod", (a, a)), ("poly_powmod", (a, 2)),
+                               ("poly_invmod", (a,))):
                 with pytest.raises(ZeroDivisionError):
-                    getattr(k, name)(*args, [], p)
+                    getattr(F, name)(*args, [])
         assert inverted and refused
+
+    def test_invmod_of_an_untrimmed_operand_raises(self):
+        """[1, 0], 1 + 0*x with a trailing zero, is no divisor: its zero
+        leading coefficient must raise at once, not leave a division loop
+        that never shrinks the remainder."""
+        def stuck(signum, frame):
+            raise TimeoutError("poly_invmod did not return within 10 s")
+
+        previous = signal.signal(signal.SIGALRM, stuck)
+        signal.alarm(10)
+        try:
+            with pytest.raises(ZeroDivisionError):
+                PrimeField(5).poly_invmod([1, 0], [1, 0, 1])
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
 
     def test_tables_do_not_change_polynomials(self, monkeypatch):
         F = ExtField(3, 4)
