@@ -63,22 +63,20 @@ MAX_FIELD_BITS = 128
 MAX_CENSUS_ORDER = 2 ** 13
 
 # The largest --max a hyperelliptic scan may take.  The scan's cost grows
-# about as max^1.8: --max 5000 takes about 2 s, 10,000 about 8 s, and
-# 200,000 did not end within two minutes.
-MAX_HYPERELLIPTIC_SCAN = 5000
+# about as max^1.4: --max 20,000 takes about 0.3 s, 50,000 about 0.9 s and
+# 100,000 about 2.4 s (in-process, 2-core host).
+MAX_HYPERELLIPTIC_SCAN = 50_000
 
-# The largest --n a hyperelliptic certificate search may take.  Above 20
-# divisors the search first runs a subset-sum pass over a bitset of (n-1)/2
-# bits: near 10^8 (99998745, 32 divisors) it takes 0.3 s and 50 MB, and its
-# memory grows with n.  The factoring is trial division: 2^61 - 1 did not end
-# within 20 s.
+# The largest --n a hyperelliptic certificate search may take.  It factors n
+# by trial division (2^61 - 1 did not end within 40 s) and runs a subset-sum
+# pass over (n-1)/2 bits: 0.24 s and 49 MB for 99998745.  numth.MAX_TABLE_BITS
+# bounds the table built after that pass.
 MAX_HYPERELLIPTIC_N = 10 ** 8
 
-# The most divisors --n may have.  Above 20 divisors the search first runs
-# the subset-sum pass, one bitset shift per divisor; numth.MAX_CERT_SUBSETS
-# then bounds the subsets of divisors it tries: 45045 (48 divisors) answers
-# in 0.1 s, and 99645 (32 divisors, smallest certificate of 9) is refused.
-MAX_HYPERELLIPTIC_DIVISORS = 48
+# The largest --g rational-g52 may take.  Building the curve from the
+# cyclotomic factors grows about as g^2.5: g = 262 takes about 3 s, 292
+# about 4 s and 412 about 8 s.
+MAX_RATIONAL_G = 300
 
 
 def make_field(spec, seed):
@@ -333,6 +331,8 @@ def cmd_find_mu(args):
 
 def cmd_rational_g52(args):
     from .families import rational_four_torsion
+    if args.g > MAX_RATIONAL_G:
+        raise CliError("bad-args", f"--g exceeds {MAX_RATIONAL_G}")
     C, pts, cert, mu = rational_four_torsion(args.g)
     F = C.ctx
     return {"curve": C.to_json(), "mu": F.elem_to_json(mu),
@@ -341,21 +341,16 @@ def cmd_rational_g52(args):
 
 
 def cmd_hyperelliptic(args):
-    from .numth import (SearchTooLongError, divisors, hyperelliptic_cert,
+    from .numth import (SearchTooLongError, hyperelliptic_cert,
                         hyperelliptic_scan, overq_filter)
     if args.max is not None:
         if args.max > MAX_HYPERELLIPTIC_SCAN:
             raise CliError("bad-args", f"--max exceeds {MAX_HYPERELLIPTIC_SCAN}")
         return ({"hyperelliptic": hyperelliptic_scan(args.max)},
                 "totient-partition-scan")
-    if args.n is None:
-        raise CliError("bad-args", "one of --n or --max is required")
     if args.n > MAX_HYPERELLIPTIC_N:
         raise CliError("bad-args", f"--n exceeds {MAX_HYPERELLIPTIC_N}")
     verdict = overq_filter(args.n)      # refuses an even n or one below 3
-    if len(divisors(args.n)) > MAX_HYPERELLIPTIC_DIVISORS:
-        raise CliError("bad-args", f"--n has more than {MAX_HYPERELLIPTIC_DIVISORS} "
-                       "divisors")
     try:
         cert = hyperelliptic_cert(args.n)
     except SearchTooLongError as exc:
@@ -473,8 +468,9 @@ def build_parser():
 
     p = sub.add_parser("hyperelliptic", help="totient certificates and scans")
     common(p, field=False)
-    p.add_argument("--n", type=int, default=None)
-    p.add_argument("--max", type=int, default=None)
+    one = p.add_mutually_exclusive_group(required=True)
+    one.add_argument("--n", type=int)
+    one.add_argument("--max", type=int)
     p.set_defaults(func=cmd_hyperelliptic)
 
     p = sub.add_parser("census", help="all points of exact order n")

@@ -497,14 +497,31 @@ def test_hyperelliptic_max_bound(capsys):
 
 
 def test_hyperelliptic_n_bounds(capsys):
-    # 2^61 - 1 is a prime past MAX_HYPERELLIPTIC_N; 765765 has 96 divisors
-    for n in (2 ** 61 - 1, cli.MAX_HYPERELLIPTIC_N + 1, 765765):
+    # 2^61 - 1 is a prime past MAX_HYPERELLIPTIC_N
+    for n in (2 ** 61 - 1, cli.MAX_HYPERELLIPTIC_N + 1):
         start = time.perf_counter()
         code, out = run(capsys, ["hyperelliptic", "--n", str(n)])
         assert time.perf_counter() - start < 1
         assert code == 1 and out["code"] == "bad-args"
     code, out = run(capsys, ["hyperelliptic", "--n", "45045"])   # 48 divisors
     assert code == 0 and out["payload"]["cert"]["n"] == 45045
+
+
+@pytest.mark.parametrize("argv", [["--n", "105", "--max", "120"], []])
+def test_hyperelliptic_takes_one_of_n_and_max(capsys, argv):
+    code, out = run(capsys, ["hyperelliptic"] + argv)
+    assert code == 1 and out["code"] == "bad-args"
+    assert "--n" in out["message"] and "--max" in out["message"]
+
+
+def test_rational_g52_g_bound(capsys):
+    for g in (cli.MAX_RATIONAL_G + 1, 10 ** 9):
+        start = time.perf_counter()
+        code, out = run(capsys, ["rational-g52", "--g", str(g)])
+        assert time.perf_counter() - start < 1
+        assert code == 1 and out["code"] == "bad-args"
+    code, out = run(capsys, ["rational-g52", "--g", "52"])
+    assert code == 0 and out["payload"]["order"] == 105
 
 
 # The fields' polynomial arithmetic is defined on divisors and gcd operands
@@ -563,16 +580,17 @@ def test_weil_over_a_large_prime_field(capsys):
     assert code == 0 and out["payload"]["match"] is True
 
 
-def test_hyperelliptic_n_subset_bound(capsys):
-    # 99645 and 201285 pass the divisor bound, but their smallest
-    # certificates (9 and 7 divisors) lie past numth.MAX_CERT_SUBSETS
-    for n in ("99645", "201285"):
+def test_hyperelliptic_n_subset_bound(capsys, monkeypatch):
+    # the smallest certificates of 99645 and 201285 have 9 and 7 divisors
+    for n, size in ((99645, 9), (201285, 7)):
         start = time.perf_counter()
-        code, out = run(capsys, ["hyperelliptic", "--n", n])
+        code, out = run(capsys, ["hyperelliptic", "--n", str(n)])
         assert time.perf_counter() - start < 1
-        assert code == 1 and out["code"] == "bad-args"
-    code, out = run(capsys, ["hyperelliptic", "--n", "45045"])
-    assert code == 0 and out["payload"]["cert"]["n"] == 45045
+        assert code == 0 and len(out["payload"]["cert"]["S1"]) == size
+    from hyptorsion import numth
+    monkeypatch.setattr(numth, "MAX_TABLE_BITS", 10 ** 5)
+    code, out = run(capsys, ["hyperelliptic", "--n", "99645"])
+    assert code == 1 and out["code"] == "bad-args"
 
 
 # -- success payloads of construct-pair, weil --mu and rational-g52 -----------

@@ -1,8 +1,11 @@
+import itertools
+
 import pytest
 
-from hyptorsion.numth import (TotientPartition, divisors, factorize,
-                              hyperelliptic_cert, hyperelliptic_scan,
-                              overq_filter, totient)
+from hyptorsion import numth
+from hyptorsion.numth import (SearchTooLongError, TotientPartition, divisors,
+                              factorize, hyperelliptic_cert,
+                              hyperelliptic_scan, overq_filter, totient)
 
 
 def test_factorize_and_totient():
@@ -53,6 +56,37 @@ class TestCert:
     def test_json_roundtrip(self):
         c = hyperelliptic_cert(105)
         assert TotientPartition.from_json(c.to_json()) == c
+
+    def test_matches_brute_force_to_2001(self):
+        for n in range(3, 2002, 2):
+            c = hyperelliptic_cert(n)
+            assert (None if c is None else (c.S1, c.S2)) == _reference_cert(n), n
+
+    @pytest.mark.parametrize("n, size", [(99645, 9), (201285, 7), (765765, 6),
+                                         (4849845, 8)])
+    def test_large_certs(self, n, size):
+        c = hyperelliptic_cert(n)
+        assert len(c.S1) == size
+        assert TotientPartition.from_json(c.to_json()) == c
+
+    def test_table_bound(self, monkeypatch):
+        monkeypatch.setattr(numth, "MAX_TABLE_BITS", 10 ** 6)
+        assert hyperelliptic_cert(105).S1 == (105, 5)
+        with pytest.raises(SearchTooLongError):
+            hyperelliptic_cert(765765)
+
+
+def _reference_cert(n):
+    """The first subset of the least size, in itertools order over the
+    divisors above 1 in descending order, whose totients sum to (n-1)/2."""
+    g = (n - 1) // 2
+    divs = sorted((d for d in divisors(n) if d > 1), reverse=True)
+    phis = {d: totient(d) for d in divs}
+    for size in range(1, len(divs) + 1):
+        for combo in itertools.combinations(divs, size):
+            if sum(phis[d] for d in combo) == g:
+                return combo, tuple(d for d in divs if d not in combo)
+    return None
 
 
 class TestFilter:
