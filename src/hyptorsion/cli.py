@@ -46,15 +46,15 @@ def parse_field(spec: str, seed=0):
     return make_field({"kind": "GF", "p": p, "m": ext}, seed)
 
 
-# The largest extension degree m accepted for GF(p^m): GF(3^32) takes about
-# 0.8 s to build, GF(3^40) about three (seed 0, 2-core host).
+# The largest extension degree m accepted for GF(p^m): at seeds 0-2,
+# GF(3^32) takes 12-33 ms to build and GF(3^40) 36-118 ms (in-process,
+# 2-core host).
 MAX_EXT_DEGREE = 32
 
 # GF(p^m) may have at most 2^MAX_FIELD_BITS elements.  The search for a
-# modulus also grows with p: at seed 0, GF(13^32) (118 bits) takes about
-# three seconds to build, GF(257^32) (256 bits) about five and
-# GF(2147483659^24) (744 bits) about seven.  The search's length depends on
-# the seed: GF(13^32) takes 14 s at seed 1.
+# modulus also grows with p: at seeds 0-2, GF(13^32) (118 bits) takes
+# 0.12-0.53 s to build, GF(257^32) (256 bits) 0.16-0.35 s and
+# GF(2147483659^24) (744 bits) 0.5-1.8 s (in-process, 2-core host).
 MAX_FIELD_BITS = 128
 
 # The largest field a census may enumerate.  Over GF(3^8) (6,561 elements) a

@@ -14,7 +14,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .fields import FieldError, InsufficientFieldError, Rationals, nth_roots_of_unity
+from .fields import (FieldError, InsufficientFieldError, Rationals, nth_roots_of_unity,
+                     remember)
 from .jacobian import CurveError, involution
 from .numth import hyperelliptic_cert
 from .polyring import Poly, cyclotomic, reverse_scale
@@ -29,12 +30,21 @@ class RootLabel:
     eta: object
 
 
-def eta_roots(F, n):
-    """RootLabels for all eps in M(n), in canonical zeta-power order.
+# (field, n) -> eta_roots(field, n), kept as fields.remember keeps memos.
+_LABELS = {}
 
-    Verifies the product identity n * prod(x - eta(eps)) = (x+1)^n - x^n
-    before returning.
+
+def eta_roots(F, n):
+    """RootLabels for all eps in M(n), in canonical zeta-power order, as a
+    new list each call.
+
+    Found once per field and n, when they also pass the product identity
+    n * prod(x - eta(eps)) = (x+1)^n - x^n.
     """
+    return list(remember(_LABELS, (F, n), lambda: _eta_labels(F, n)))
+
+
+def _eta_labels(F, n):
     labels = []
     for eps in nth_roots_of_unity(F, n):
         eta = F.inv(F.sub(eps, F.one))
@@ -46,7 +56,7 @@ def eta_roots(F, n):
     x = Poly.x(F)
     if prod != x1 ** n - x ** n:
         raise FieldError("eta product identity failed; roots are inconsistent")
-    return labels
+    return tuple(labels)
 
 
 def _linear_product(F, labels, indices, multiplicity=None):

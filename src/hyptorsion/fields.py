@@ -13,6 +13,13 @@ sequences (`poly_add`, ..., `poly_invmod`): GF(p) and GF(p^m) run the
 generic loops of `Field` over their element operations, and Q takes gcds by
 modular images and then a primitive PRS over the integers.  Untabled GF(p^m)
 elements and the modulus search run on the polynomials of one GF(p).
+
+A GF(p^m) built from a seed takes the first irreducible of a seeded stream
+of random monic candidates, tested by Ben-Or's distinct-degree test, which
+drops most reducible candidates after a few Frobenius powers.  A process
+finds each field's facts once: the modulus of each (p, m, seed), and per
+field value (p and modulus) its tables, roots of unity and quadratic
+non-residue.  Each memo keeps at most _TABLES_KEPT keys.
 """
 
 from __future__ import annotations
@@ -470,7 +477,7 @@ class FiniteFieldMixin:
             while d % 2 == 0:
                 d //= 2
                 e += 1
-            z = self._nonresidue()
+            z = remember(_NONRESIDUES, self, self._nonresidue)
             m, c = e, self.pow_el(z, d)
             t, r = self.pow_el(a, d), self.pow_el(a, (d + 1) // 2)
             while t != self.one:
@@ -563,38 +570,65 @@ class PrimeField(FiniteFieldMixin, Field):
 _GCD_FIELDS = tuple(map(PrimeField, (10007, 10009, 10037, 10039, 10061)))
 
 
+# Each memo of per-field facts keeps at most this many keys, the oldest
+# dropped first.
+_TABLES_KEPT = 16
+_MODULI = {}            # repr((seed, p, m)), the seed of the search -> modulus
+_TABLES = {}            # (p, modulus) -> (exp, log, zech, neg)
+_ROOTS = {}             # (field, n) -> nth_roots_of_unity(field, n)
+_NONRESIDUES = {}       # field -> its least quadratic non-residue
+
+
+def remember(cache, key, build):
+    """cache[key], from build() on first use; the cache keeps at most
+    _TABLES_KEPT keys, the oldest dropped first.  A field as a key stands
+    for its value: fields compare by p and modulus."""
+    value = cache.get(key)
+    if value is None:
+        if len(cache) >= _TABLES_KEPT:
+            del cache[next(iter(cache))]
+        value = cache[key] = build()
+    return value
+
+
 def _is_irreducible(modulus, p):
-    """Irreducibility over GF(p) of a monic modulus, via Frobenius powers."""
+    """Ben-Or's test of a monic modulus f of degree m over GF(p).  A
+    reducible f has an irreducible factor of some degree i <= m/2, and that
+    factor divides x^(p^i) - x; so the test raises x to the p-th power mod f
+    once per i and stops at the first i with gcd(x^(p^i) - x, f) != 1
+    (M. Ben-Or, FOCS 1981; S. Gao and D. Panario, FoCM 1997)."""
     m = len(modulus) - 1
     if m <= 0:
         return False
     F = PrimeField(p)
-    x = F.poly_divmod([0, 1], modulus)[1]     # x mod f, not x when m = 1
-    if F.poly_sub(F.poly_powmod(x, p ** m, modulus), x):
-        return False
-    for r in factorize(m):
-        xd = F.poly_powmod(x, p ** (m // r), modulus)
-        if F.poly_gcd(F.poly_sub(xd, x), modulus) != [1]:
+    x = xp = [0, 1]
+    for _ in range(m // 2):
+        xp = F.poly_powmod(xp, p, modulus)
+        if F.poly_gcd(F.poly_sub(xp, x), modulus) != [1]:
             return False
     return True
 
 
 def find_irreducible(p, m, seed=0):
-    """Seeded-deterministic monic irreducible of degree m over GF(p)."""
+    """Seeded-deterministic monic irreducible of degree m over GF(p): the
+    first irreducible candidate of a random stream seeded by (seed, p, m),
+    searched once per process for each."""
     if m == 1:
         return [0, 1]
-    rng = random.Random((seed, p, m).__repr__())
+    key = (seed, p, m).__repr__()
+    return list(remember(_MODULI, key, lambda: _first_irreducible(p, m, key)))
+
+
+def _first_irreducible(p, m, rng_seed):
+    rng = random.Random(rng_seed)
     while True:
         coeffs = [rng.randrange(p) for _ in range(m)] + [1]
         if _is_irreducible(coeffs, p):
-            return coeffs
+            return tuple(coeffs)
 
 
 # Fields of at most this many elements do their arithmetic by table lookup.
 _TABLE_MAX = 2 ** 13
-# Tables of at most this many fields are kept, the oldest dropped first.
-_TABLES_KEPT = 16
-_TABLES = {}
 
 
 def _digits(i, p):
@@ -620,13 +654,7 @@ def _tables(p, modulus):
     exp[i] = g^i for 0 <= i < 2n, log[a] = i with g^i = a for a != 0,
     zech[i] = log(1 + g^i) (None where 1 + g^i = 0), neg[a] = -a.
     """
-    key = (p, modulus)
-    tabs = _TABLES.get(key)
-    if tabs is None:
-        if len(_TABLES) >= _TABLES_KEPT:
-            del _TABLES[next(iter(_TABLES))]
-        tabs = _TABLES[key] = _build_tables(p, list(modulus))
-    return tabs
+    return remember(_TABLES, (p, modulus), lambda: _build_tables(p, list(modulus)))
 
 
 def _build_tables(p, mod):
@@ -771,7 +799,9 @@ class ExtField(FiniteFieldMixin, Field):
 def field_make(spec, seed=0):
     """Build a field context from a JSON-style description.
 
-    Accepts {"kind":"Q"} or {"kind":"GF","p":...[,"m":...,"modulus":[...]]}.
+    Accepts {"kind":"Q"} or {"kind":"GF","p":...[,"m":...,"modulus":[...]]},
+    where p, m and the modulus coefficients are JSON integers: booleans,
+    floats and strings are refused.
     """
     kind = spec.get("kind")
     if kind == "Q":
@@ -779,17 +809,30 @@ def field_make(spec, seed=0):
     if kind == "GF":
         p = spec["p"]
         m = spec.get("m", 1)
+        modulus = spec.get("modulus")
+        for name, value in (("p", p), ("m", m)):
+            if not _is_json_int(value):
+                raise FieldError(f"field {name} must be a JSON integer, got {value!r}")
+        if "modulus" in spec and not (isinstance(modulus, list)
+                                      and all(map(_is_json_int, modulus))):
+            raise FieldError("field modulus must be a JSON list of integers, "
+                             f"got {modulus!r}")
         if m == 1 and "modulus" not in spec:
             return PrimeField(p)
-        return ExtField(p, m, modulus=spec.get("modulus"), seed=seed)
+        return ExtField(p, m, modulus=modulus, seed=seed)
     raise FieldError(f"unknown field kind {kind!r}")
 
 
 def nth_roots_of_unity(F, n):
     """M(n): all n-th roots of unity except 1, ordered as powers of the
-    least primitive one.  Raises InsufficientFieldError naming the minimal
+    least primitive one, as a new list each call (they are found once per
+    field and n).  Raises InsufficientFieldError naming the minimal
     extension degree when the field lacks them.
     """
+    return list(remember(_ROOTS, (F, n), lambda: _roots_of_unity(F, n)))
+
+
+def _roots_of_unity(F, n):
     if n < 3 or n % 2 == 0:
         raise ValueError(f"n must be odd and >= 3, got {n}")
     if not F.is_finite:
@@ -823,4 +866,4 @@ def nth_roots_of_unity(F, n):
     for _ in range(n - 1):
         acc = F.mul(acc, zeta)
         roots.append(acc)
-    return roots
+    return tuple(roots)

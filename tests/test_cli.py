@@ -296,6 +296,23 @@ class TestCommands:
             code, out = run(capsys, argv)
             assert (code, out["code"]) == (1, "bad-field"), argv
 
+    @pytest.mark.parametrize("spec, reason", [
+        ({"p": 3, "m": True}, "field m must be a JSON integer"),
+        ({"p": 3, "m": 2.0}, "field m must be a JSON integer"),
+        ({"p": 3.0, "m": 2}, "field p must be a JSON integer"),
+        ({"p": 3, "m": 2, "modulus": [True, 0, 1]}, "field modulus must be"),
+        ({"p": 3, "m": 2, "modulus": [1.5, 0, 1]}, "field modulus must be"),
+        ({"p": 3, "m": 2, "modulus": "x^2+1"}, "field modulus must be"),
+        ({"p": 3, "m": 2, "modulus": ["1", 0, 1]}, "field modulus must be"),
+        ({"p": 3, "m": 2, "modulus": None}, "field modulus must be")])
+    def test_field_spec_refuses_non_integers(self, capsys, tmp_path, spec, reason):
+        curve = tmp_path / "curve.json"
+        curve.write_text(json.dumps({"field": {"kind": "GF", **spec}, "g": 1,
+                                     "f": [1, 0, 0, 1]}))
+        code, out = run(capsys, ["verify", "--curve", str(curve), "--point", "(0,1)"])
+        assert (code, out["status"], out["code"]) == (1, "error", "FieldError"), out
+        assert out["message"].startswith(reason), out
+
     def test_field_size_bound(self, capsys):
         # the primes on either side of 2^MAX_FIELD_BITS
         top = 2 ** cli.MAX_FIELD_BITS

@@ -1,10 +1,13 @@
+import itertools
 import json
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from hyptorsion import fields
+from hyptorsion import families, fields
+from hyptorsion.families import eta_roots
 from hyptorsion.fields import (ExtField, FieldError, InsufficientFieldError,
                                PrimeField, Rationals, field_make,
                                find_irreducible, is_prime, nth_roots_of_unity)
@@ -138,6 +141,7 @@ class TestExtField:
         for c in range(3):
             F = ExtField(3, 1, modulus=[c, 1])
             assert [F.mul(a, b) for a in (1, 2) for b in (1, 2)] == [1, 2, 2, 1]
+        assert field_make({"kind": "GF", "p": 11, "m": 1, "modulus": [1, 1]}).order == 11
         with pytest.raises(FieldError):
             ExtField(3, 2, modulus=[2, 0, 1])  # x^2 - 1 = (x - 1)(x + 1)
         with pytest.raises(FieldError):
@@ -246,8 +250,8 @@ class TestTableField:
 
 
 def test_found_modulus_is_tested_once(monkeypatch):
-    # ExtField tests only a modulus the caller supplies; one that
-    # find_irreducible returns has passed the same test already.
+    # A process searches each (p, m, seed) once: a second ExtField of it
+    # tests no candidate and gets the same modulus.
     calls = []
     is_irreducible = fields._is_irreducible
 
@@ -256,13 +260,98 @@ def test_found_modulus_is_tested_once(monkeypatch):
         return is_irreducible(modulus, p)
 
     monkeypatch.setattr(fields, "_is_irreducible", counted)
+    monkeypatch.setattr(fields, "_MODULI", {})
     for p, m, seed in ((3, 4, 0), (5, 3, 1), (29, 2, 3), (7, 1, 0)):
-        find_irreducible(p, m, seed=seed)
-        alone = calls[:]
+        first = ExtField(p, m, seed=seed).modulus
+        assert calls or m == 1, (p, m)
         calls.clear()
-        ExtField(p, m, seed=seed)
-        assert calls == alone, (p, m)
-        calls.clear()
+        assert ExtField(p, m, seed=seed).modulus == first
+        assert calls == [], (p, m)
+
+
+def _monic(p, degree):
+    for low in itertools.product(range(p), repeat=degree):
+        yield list(low) + [1]
+
+
+@pytest.mark.parametrize("p", [3, 5])
+def test_ben_or_matches_factor_search(p):
+    # f is reducible exactly when a monic polynomial of degree <= m/2
+    # divides it
+    F = PrimeField(p)
+    for m in range(1, 5):
+        divisors = [d for k in range(1, m // 2 + 1) for d in _monic(p, k)]
+        for f in _monic(p, m):
+            reducible = any(not F.poly_divmod(f, d)[1] for d in divisors)
+            assert fields._is_irreducible(f, p) == (not reducible), f
+
+
+def test_find_irreducible_keeps_its_moduli(monkeypatch):
+    # The moduli the search returned when it tested candidates by Rabin's
+    # test, for p in {3, 5, 7, 11, 13, 29}, m <= 8 and seeds 0-4, and for
+    # GF(13^32) at seed 1: an exact test takes the same first irreducible
+    # candidate of the same seeded stream.
+    monkeypatch.setattr(fields, "_MODULI", {})
+    grid = json.loads((Path(__file__).parent / "moduli_grid.json").read_text())
+    assert len(grid) == 6 * 8 * 5 + 1
+    for key, modulus in grid.items():
+        p, m, seed = map(int, key.split(","))
+        assert find_irreducible(p, m, seed=seed) == modulus, key
+
+
+class TestFieldMemos:
+    def test_reducible_user_modulus_still_raises(self):
+        for seed in (0, 1):
+            ExtField(3, 2, seed=seed)
+        with pytest.raises(FieldError, match="reducible"):
+            ExtField(3, 2, modulus=[2, 0, 1])
+        with pytest.raises(FieldError, match="reducible"):
+            field_make({"kind": "GF", "p": 3, "m": 2, "modulus": [2, 0, 1]})
+
+    def test_seeds_keep_their_own_moduli(self, monkeypatch):
+        monkeypatch.setattr(fields, "_MODULI", {})
+        seeds = range(5)
+        first = [ExtField(13, 4, seed=s).modulus for s in seeds]
+        assert len(set(first)) == len(first)
+        again = [ExtField(13, 4, seed=s).modulus for s in reversed(seeds)]
+        assert again[::-1] == first
+        assert len(fields._MODULI) == len(first)
+
+    def test_memos_are_bounded_and_keyed_on_value(self, monkeypatch):
+        memos = {"_MODULI": {}, "_TABLES": {}, "_ROOTS": {}, "_NONRESIDUES": {}}
+        for name, cache in memos.items():
+            monkeypatch.setattr(fields, name, cache)
+        monkeypatch.setattr(families, "_LABELS", {})
+        monkeypatch.setattr(fields, "_TABLES_KEPT", 2)
+        built = [ExtField(5, 2, seed=s) for s in range(4)]
+        for F in built:
+            eta_roots(F, 3)
+            F.sqrt(F.one)
+        # a field built again from its modulus hits the memos
+        again = ExtField(5, 2, modulus=built[-1].modulus)
+        eta_roots(again, 3)
+        again.sqrt(again.one)
+        caches = list(memos.values()) + [families._LABELS]
+        for cache in caches:
+            assert len(cache) == 2, cache
+        assert list(fields._ROOTS) == [(F, 3) for F in built[2:]]
+        assert list(families._LABELS) == [(F, 3) for F in built[2:]]
+        assert list(fields._NONRESIDUES) == built[2:]
+        assert fields._NONRESIDUES[again] == built[-1]._nonresidue()
+
+    def test_callers_cannot_mutate_cached_values(self):
+        F = ExtField(3, 4)
+        roots = nth_roots_of_unity(F, 5)
+        labels = eta_roots(F, 5)
+        modulus = find_irreducible(3, 4)
+        kept = (list(roots), list(labels), list(modulus))
+        roots[0] = roots.pop()
+        labels.reverse()
+        modulus[0] += 1
+        assert (nth_roots_of_unity(F, 5), eta_roots(F, 5),
+                find_irreducible(3, 4)) == kept
+        with pytest.raises(AttributeError):
+            eta_roots(F, 5)[0].eps = F.zero
 
 
 def test_find_irreducible_deterministic():
