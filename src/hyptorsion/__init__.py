@@ -14,14 +14,13 @@ _EXPORTS = {
     "fields": ("ExtField", "Field", "FieldError", "InsufficientFieldError",
                "PrimeField", "Rationals", "field_make", "nth_roots_of_unity"),
     "jacobian": ("AffinePoint", "Curve", "MumfordDivisor", "cantor_add", "embed",
-                 "exact_order", "identity", "involution", "neg", "point_make",
-                 "points_with_x", "scalar_mul"),
+                 "exact_order", "identity", "involution", "neg", "points_with_x",
+                 "scalar_mul"),
     "kernels": ("BACKEND",),
     "polyring": ("Poly", "cyclotomic", "diff_power", "is_squarefree", "poly_sqrt",
                  "reverse_scale"),
-    "torsion": ("EnhancedCurve", "PairCert", "SingleCert", "decorations_of",
-                "make_pair", "make_single", "normalize_enhanced", "recover_pair",
-                "torsion_census", "verify_single"),
+    "torsion": ("EnhancedCurve", "PairCert", "SingleCert", "make_pair",
+                "make_single", "recover_pair", "torsion_census", "verify_single"),
     "families": ("AdmissibleFn", "CoprimeTemplate", "CharTemplate", "eta_roots",
                  "find_good_mu", "nice_pairs_coprime", "rational_four_torsion",
                  "symmetry_classes", "upsilon_ij_enum"),

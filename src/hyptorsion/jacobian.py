@@ -91,12 +91,6 @@ class AffinePoint:
         return cls(ctx.elem_from_json(obj["x"]), ctx.elem_from_json(obj["y"]))
 
 
-def point_make(C: Curve, x0, y0) -> AffinePoint:
-    if not C.contains(x0, y0):
-        raise CurveError(f"({x0}, {y0}) is not on the curve")
-    return AffinePoint(x0, y0)
-
-
 def involution(P: AffinePoint, ctx) -> AffinePoint:
     return AffinePoint(P.x, ctx.neg(P.y))
 
@@ -145,13 +139,6 @@ class MumfordDivisor:
     @property
     def is_identity(self):
         return self.u.degree == 0
-
-    def to_json(self):
-        return {"u": self.u.to_json(), "v": self.v.to_json()}
-
-    @classmethod
-    def from_json(cls, C, obj):
-        return cls(C, Poly.from_json(C.ctx, obj["u"]), Poly.from_json(C.ctx, obj["v"]))
 
 
 def identity(C: Curve) -> MumfordDivisor:

@@ -51,10 +51,6 @@ class TotientPartition:
     def to_json(self):
         return {"n": self.n, "S1": list(self.S1), "S2": list(self.S2)}
 
-    @classmethod
-    def from_json(cls, obj):
-        return cls(obj["n"], tuple(obj["S1"]), tuple(obj["S2"]))
-
 
 # The most bits the certificate table may hold, summed over the bit lengths
 # of its entries as they are added; an entry holds at most (n-1)/2 + 1 bits.

@@ -163,17 +163,6 @@ class Poly:
             result = result * xc + Poly.const(ctx, coeff)
         return result
 
-    def scale_arg(self, s):
-        """Substitute x -> s*x; s must be nonzero."""
-        ctx = self.ctx
-        if s == ctx.zero:
-            raise ValueError("scale_arg requires a nonzero scalar")
-        out, power = [], ctx.one
-        for c in self.coeffs:
-            out.append(ctx.mul(c, power))
-            power = ctx.mul(power, s)
-        return Poly(ctx, out)
-
     # -- serialization -----------------------------------------------------
 
     def to_json(self):

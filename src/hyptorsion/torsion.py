@@ -12,9 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .fields import InsufficientFieldError
-from .jacobian import (AffinePoint, Curve, embed, exact_order, involution,
-                       points_with_x)
+from .jacobian import AffinePoint, Curve, embed, exact_order, points_with_x
 from .polyring import Poly, diff_power, poly_sqrt
 
 
@@ -116,29 +114,12 @@ class PairCert:
 
 @dataclass(frozen=True)
 class EnhancedCurve:
-    """A curve with an ordered pair of marked order-(2g+1) points."""
+    """A curve with an ordered pair of marked order-(2g+1) points, made by
+    make_pair from a PairCert, which refuses equal abscissas."""
 
     C: Curve
     P: AffinePoint
     Q: AffinePoint
-
-    def __post_init__(self):
-        if self.P.x == self.Q.x:
-            raise CertError("marked points must have distinct abscissas")
-
-
-@dataclass(frozen=True)
-class IsoMap:
-    """x -> (x - r)/lam^2, y -> y/lam^{2g+1}; lam != 0."""
-
-    lam: object
-    r: object
-
-    def apply_point(self, ctx, g, P):
-        lam2 = ctx.mul(self.lam, self.lam)
-        x1 = ctx.div(ctx.sub(P.x, self.r), lam2)
-        y1 = ctx.div(P.y, ctx.pow_el(self.lam, 2 * g + 1))
-        return AffinePoint(x1, y1)
 
 
 def make_single(ctx, g, a, v: Poly):
@@ -195,66 +176,6 @@ def recover_pair(C: Curve, P: AffinePoint, Q: AffinePoint) -> PairCert:
         raise CertError("second point does not have order 2g+1")
     u1, u2 = c1.v + c2.v, c1.v - c2.v
     return PairCert(C.g, P.x, Q.x, u1, u2)
-
-
-@dataclass(frozen=True)
-class Decoration:
-    """One of the four sign/swap variants of a PairCert with its point pair."""
-
-    cert: PairCert
-    P: AffinePoint
-    Q: AffinePoint
-
-
-def decorations_of(C: Curve, P: AffinePoint, Q: AffinePoint):
-    """The four decorations (u1,u2), (-u1,-u2), (u2,u1), (-u2,-u1) of the
-    curve, each with the marked pair it certifies; the first matches (P, Q)."""
-    ctx = C.ctx
-    base = recover_pair(C, P, Q)
-    iP, iQ = involution(P, ctx), involution(Q, ctx)
-    a1, a2, g = base.a1, base.a2, base.g
-    u1, u2 = base.u1, base.u2
-    variants = [
-        (Decoration(base, P, Q)),
-        (Decoration(PairCert(g, a1, a2, -u1, -u2), iP, iQ)),
-        (Decoration(PairCert(g, a1, a2, u2, u1), P, iQ)),
-        (Decoration(PairCert(g, a1, a2, -u2, -u1), iP, Q)),
-    ]
-    for dec in variants:
-        v1, v2 = dec.cert.v_polys()
-        if v1(a1) != dec.P.y or v2(a2) != dec.Q.y:
-            raise CertError("a decoration's v1(a1), v2(a2) miss its marked pair")
-    return variants
-
-
-def normalize_enhanced(C: Curve, P: AffinePoint, Q: AffinePoint):
-    """Move (P, Q) to abscissas (0, -1); returns the new enhanced curve and
-    the isomorphism used.  Needs sqrt(x(P) - x(Q)); if the field lacks it, a
-    quadratic extension is reported via InsufficientFieldError."""
-    ctx = C.ctx
-    if P.x == Q.x:
-        raise CertError("points must have distinct abscissas")
-    a, c = P.x, Q.x
-    d = ctx.sub(a, c)
-    lam = ctx.sqrt(d)
-    if lam is None:
-        raise InsufficientFieldError(
-            "sqrt(x(P) - x(Q)) does not exist; a quadratic extension suffices",
-            extension_degree=2)
-    n = 2 * C.g + 1
-    # f1(x) = f(d*x + a) / d^{2g+1}; monic since f is monic of degree 2g+1.
-    f1 = C.f.shift(a).scale_arg(d).scale(ctx.inv(ctx.pow_el(d, n)))
-    C1 = Curve(ctx, C.g, f1)
-    iso = IsoMap(lam, a)
-    P1 = iso.apply_point(ctx, C.g, P)
-    Q1 = iso.apply_point(ctx, C.g, Q)
-    if P1.x != ctx.zero or Q1.x != ctx.neg(ctx.one):
-        raise CertError("normalized abscissas are not 0 and -1")
-    if not (C1.contains(P1.x, P1.y) and C1.contains(Q1.x, Q1.y)):
-        raise CertError("normalized points are not on the normalized curve")
-    if verify_single(C1, P1) is None or verify_single(C1, Q1) is None:
-        raise CertError("normalized points lost the order-(2g+1) certificate")
-    return EnhancedCurve(C1, P1, Q1), iso
 
 
 def torsion_census(C: Curve, n: int):

@@ -5,7 +5,7 @@ import json
 import time
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import hyptorsion
@@ -392,9 +392,10 @@ def test_selftest_in_a_fresh_process(run_fresh):
 
 # -- argv shapes -------------------------------------------------------------
 # Every flag value comes from a fixed pool, and the pools keep each call
-# small (p <= 13, m <= 3, g <= 3; GF:3,5000 must be refused before it is
-# built): no hyperelliptic --max, rational-g52 or selftest.  Integer-typed
-# flags get integers, so argparse accepts every argv.
+# small (p <= 13 or 367, m <= 3, g <= 3 or 30; g = 30's template walk, g =
+# 100000's curve and GF:3,5000 must be refused before they are built): no
+# hyperelliptic --max, rational-g52 or selftest.  Integer-typed flags get
+# integers, so argparse accepts every argv.
 
 VALUES = st.sampled_from([
     "0", "1", "-1", "2", "7", "-12", "1.5", "-0.25", "1e3", "true", "false",
@@ -409,8 +410,9 @@ VALUES = st.sampled_from([
 FIELDS = st.sampled_from([
     "Q", "GF:3", "GF:5", "GF:7", "GF:11", "GF:13", "GF:3,2", "GF:3,3",
     "GF:5,2", "GF:7,3", "GF:13,2", "GF:2", "GF:1", "GF:9", "GF:3,0", "GF(3)",
-    "abc", "GF:3,5000", "GF:2147483659,24"])
-GENERA = st.sampled_from(["-1", "0", "1", "2", "3"])
+    "abc", "GF:3,5000", "GF:2147483659,24", "GF:367"])
+# GF(367) holds the 61st roots of unity of genus 30
+GENERA = st.sampled_from(["-1", "0", "1", "2", "3", "30", "100000"])
 PRIMES = ["-1", "0", "1", "2", "3", "4", "5", "7", "11", "13"]
 ORDERS = st.sampled_from(["-1", "0", "1", "2", "3", "5", "7", "9", "15"])
 # GF(p^m) with p^m up to 169: a census over GF(13^3) visits 2,197 abscissas
@@ -469,6 +471,12 @@ ARGVS = st.sampled_from(sorted(COMMANDS)).flatmap(
 
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(argv=ARGVS)
+# the pools seldom draw these together; without the bounds on --g each would
+# walk C(60, 30) templates or expand a power of degree 200001
+@example(argv=["enumerate-families", "--field=GF:367", "--g=30"])
+@example(argv=["find-mu", "--field=GF:367", "--g=30"])
+@example(argv=["weil", "--field=GF:367", "--g=30", "--I=0,1"])
+@example(argv=["construct-single", "--field=GF:367", "--g=100000", "--a=1", "--v=1"])
 def test_every_argv_prints_one_envelope(argv, tmp_path_factory):
     stdout = io.StringIO()
     with contextlib.chdir(tmp_path_factory.getbasetemp()), \
@@ -539,6 +547,57 @@ def test_rational_g52_g_bound(capsys):
         assert code == 1 and out["code"] == "bad-args"
     code, out = run(capsys, ["rational-g52", "--g", "52"])
     assert code == 0 and out["payload"]["order"] == 105
+
+
+def _refused_in_time(capsys, argv):
+    start = time.perf_counter()
+    code, out = run(capsys, argv)
+    assert time.perf_counter() - start < 1, argv
+    assert (code, out["status"], out["code"]) == (1, "error", "bad-args"), out
+    return out["message"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["construct-single", "--field", "GF:1000003", "--g", "3000", "--a", "1",
+     "--v", "1"],
+    ["construct-pair", "--field", "GF:11", "--g", "500", "--a1", "0", "--a2", "1",
+     "--u1", "1", "--u2", "1"],
+    ["enumerate-families", "--field", "GF:367", "--g", "100000"],
+    ["find-mu", "--field", "GF:367", "--g", "100000"],
+    ["weil", "--field", "GF:311", "--g", "100000", "--I", "0"]])
+def test_genus_past_the_degree_bound_is_refused(capsys, argv):
+    # 2g+1 > MAX_POLY_DEGREE, as the char regime refuses p^k(2l+1)
+    assert "2g+1" in _refused_in_time(capsys, argv)
+
+
+@pytest.mark.parametrize("command", ["enumerate-families", "find-mu"])
+@pytest.mark.parametrize("field, g", [("GF:47", "11"), ("GF:367", "30")])
+def test_coprime_template_walk_is_bounded(capsys, command, field, g):
+    # C(22, 11) = 705,432 and C(60, 30) > 10^17 exceed MAX_TEMPLATE_WALK
+    message = _refused_in_time(capsys, [command, "--field", field, "--g", g])
+    assert "C(2g, g)" in message
+
+
+def test_genus_bounds_admit_their_edges(capsys):
+    # 2g+1 = 999 and C(20, 10) = 184,756 templates are inside the bounds
+    code, out = run(capsys, ["construct-single", "--field", "GF:1999", "--g",
+                             "499", "--a", "1", "--v", "1"])
+    assert (code, out["payload"]["curve"]["g"]) == (0, 499)
+    code, out = run(capsys, ["find-mu", "--field", "GF:43", "--g", "10"])
+    assert (code, out["payload"]["family"]["I"]) == (0, list(range(10)))
+
+
+def test_weil_builds_only_the_named_template(capsys):
+    # C(30, 15) = 155,117,520 templates at genus 15: none is walked
+    I = ",".join(map(str, range(15)))
+    start = time.perf_counter()
+    code, out = run(capsys, ["weil", "--field", "GF:311", "--g", "15", "--I", I])
+    assert time.perf_counter() - start < 1
+    assert code == 0 and out["payload"]["I"] == list(range(15))
+    for bad in ("1,0", "0,0", "0,4", "-1,0", "0", "0,1,2"):
+        message = _refused_in_time(capsys, ["weil", "--field", "GF:11", "--g",
+                                            "2", f"--I={bad}"])
+        assert message.startswith("no coprime template with I = ")
 
 
 # The fields' polynomial arithmetic is defined on divisors and gcd operands

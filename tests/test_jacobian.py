@@ -10,7 +10,7 @@ from hyptorsion.jacobian import (AffinePoint, Curve, DegreeError,
                                  MumfordDivisor, NotMonicError,
                                  NotSquarefreeError, cantor_add, embed,
                                  exact_order, identity, involution, neg,
-                                 point_make, points_with_x, scalar_mul)
+                                 points_with_x, scalar_mul)
 from hyptorsion.polyring import Poly
 
 F11 = PrimeField(11)
@@ -56,10 +56,6 @@ class TestPoints:
         assert [(P.x, P.y) for P in points_with_x(C_X5_1, 10)] == [(10, 0)]
         assert [(P.x, P.y) for P in points_with_x(C_X5_1, 2)] == [(2, 0)]  # 2^5+1=33
 
-    def test_point_make_validates(self):
-        with pytest.raises(Exception):
-            point_make(C_X5_1, 0, 2)
-
 
 class TestMumford:
     def test_embed_and_identity(self):
@@ -81,10 +77,6 @@ class TestMumford:
                 Di = embed(C_X5_1, involution(P, F11))
                 assert cantor_add(C_X5_1, D, Di).is_identity
                 assert Di == neg(C_X5_1, D)
-
-    def test_json_roundtrip(self):
-        D = embed(C_X5_1, AffinePoint(0, 1))
-        assert MumfordDivisor.from_json(C_X5_1, D.to_json()) == D
 
 
 class TestGroupLaw:

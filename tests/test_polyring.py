@@ -80,12 +80,11 @@ class TestRing:
     def test_derivative_product_rule(self, a, b):
         assert (a * b).derivative() == a.derivative() * b + a * b.derivative()
 
-    @given(gf11_polys, st.integers(0, 10), st.integers(1, 10))
+    @given(gf11_polys, st.integers(0, 10))
     @settings(max_examples=40)
-    def test_shift_scale_eval(self, a, c, s):
+    def test_shift_scale_eval(self, a, c):
         x0 = 7
         assert a.shift(c)(x0) == a((x0 + c) % 11)
-        assert a.scale_arg(s)(x0) == a(s * x0 % 11)
 
 
 class TestSqrt:

@@ -1,18 +1,15 @@
-import itertools
 import math
 import random
 
 import pytest
 
 from hyptorsion import torsion
-from hyptorsion.fields import (ExtField, InsufficientFieldError, PrimeField,
-                               Rationals)
+from hyptorsion.fields import ExtField, PrimeField, Rationals
 from hyptorsion.jacobian import (Curve, DegreeError, NotSquarefreeError, embed,
                                  exact_order, involution, points_with_x)
 from hyptorsion.polyring import Poly
 from hyptorsion.torsion import (CertError, PairCert, QSideDegeneracyError,
-                                decorations_of, make_pair, make_single,
-                                normalize_enhanced, recover_pair,
+                                make_pair, make_single, recover_pair,
                                 torsion_census, verify_single)
 
 F11 = PrimeField(11)
@@ -134,117 +131,6 @@ class TestPairs:
         rhs = F11.pow_el(F11.sub(cert.a1, cert.a2), 5)
         for a in (cert.a1, cert.a2):
             assert F11.mul(cert.u1(a), cert.u2(a)) == rhs
-
-
-class TestDecorations:
-    def test_check_survives_optimize(self, run_optimized):
-        out = run_optimized("""
-            from hyptorsion import torsion
-            from hyptorsion.families import find_good_mu, nice_pairs_coprime
-            from hyptorsion.fields import PrimeField
-            F = PrimeField(11)
-            t = next(t for t in nice_pairs_coprime(F, 2) if t.I == (0, 1))
-            _, _, enh = find_good_mu(F, 2, t)
-            torsion.involution = lambda P, ctx: P
-            try:
-                torsion.decorations_of(enh.C, enh.P, enh.Q)
-                print("accepted")
-            except Exception as exc:
-                print(type(exc).__name__, exc)
-        """)
-        assert out == ["CertError a decoration's v1(a1), v2(a2) miss its "
-                       "marked pair"]
-
-    def test_four_variants(self):
-        cert = _template_cert(F11, 2, (0, 1), F11.coerce(2))
-        enh = make_pair(F11, 2, cert)
-        decs = decorations_of(enh.C, enh.P, enh.Q)
-        assert len(decs) == 4
-        assert len({(d.cert.u1, d.cert.u2) for d in decs}) == 4
-        # all four give the same curve polynomial
-        assert len({d.cert.curve_poly() for d in decs}) == 1
-        # the (-u1, -u2) variant marks (iota P, iota Q)
-        d = decs[1]
-        assert d.cert.u1 == -decs[0].cert.u1 and d.cert.u2 == -decs[0].cert.u2
-        assert d.P == involution(enh.P, F11) and d.Q == involution(enh.Q, F11)
-        # exactly one decoration matches the original marked pair
-        assert sum(1 for d in decs if (d.P, d.Q) == (enh.P, enh.Q)) == 1
-
-
-class TestNormalize:
-    def test_identity_on_normalized(self):
-        cert = _template_cert(F11, 2, (0, 1), F11.coerce(2))
-        enh = make_pair(F11, 2, cert)
-        norm, iso = normalize_enhanced(enh.C, enh.P, enh.Q)
-        assert norm.C.f == enh.C.f and iso.lam == F11.one and iso.r == F11.zero
-
-    def test_shift_and_normalize_back(self):
-        cert = _template_cert(F11, 2, (0, 1), F11.coerce(2))
-        enh = make_pair(F11, 2, cert)
-        # move the curve by x -> x - 1 so P sits at abscissa 1, Q at 0
-        f_shift = enh.C.f.shift(F11.neg(F11.one))
-        C2 = Curve(F11, 2, f_shift)
-        P2 = points_with_x(C2, F11.add(enh.P.x, F11.one))
-        Q2 = points_with_x(C2, F11.add(enh.Q.x, F11.one))
-        P2 = next(p for p in P2 if p.y == enh.P.y)
-        Q2 = next(q for q in Q2 if q.y == enh.Q.y)
-        norm, iso = normalize_enhanced(C2, P2, Q2)
-        assert norm.C.f == enh.C.f
-        assert norm.P.x == F11.zero and norm.Q.x == F11.neg(F11.one)
-        # idempotence
-        again, iso2 = normalize_enhanced(norm.C, norm.P, norm.Q)
-        assert again.C.f == norm.C.f and iso2.lam == F11.one
-
-    def test_insufficient_field(self):
-        # x(P) - x(Q) a non-residue forces a quadratic extension
-        F = PrimeField(19)
-        got = None
-        for g, a in itertools.product([2], range(2, 19)):
-            if F.sqrt(F.coerce(a)) is not None:
-                continue
-            try:
-                C, P, _ = make_single(F, g, F.coerce(a), Poly.from_ints(F, [1]))
-            except NotSquarefreeError:
-                continue
-            Qs = [q for x0 in F.elements() for q in points_with_x(C, x0)
-                  if x0 == 0 and q.y != 0]
-            for Q in Qs:
-                if verify_single(C, Q) is None:
-                    continue
-                with pytest.raises(InsufficientFieldError) as exc:
-                    normalize_enhanced(C, P, Q)
-                assert exc.value.extension_degree == 2
-                got = True
-            if got:
-                return
-        pytest.skip("no witness found in range")
-
-    def test_checks_survive_optimize(self, run_optimized):
-        # python -O strips assert statements; the typed raises must remain.
-        out = run_optimized("""
-            from hyptorsion import torsion
-            from hyptorsion.families import find_good_mu, nice_pairs_coprime
-            from hyptorsion.fields import PrimeField
-            from hyptorsion.jacobian import AffinePoint
-            F = PrimeField(11)
-            t = next(t for t in nice_pairs_coprime(F, 2) if t.I == (0, 1))
-            _, _, enh = find_good_mu(F, 2, t)
-            apply_point = torsion.IsoMap.apply_point
-            for dx, dy in ((1, 0), (0, 1)):
-                def wrong(self, ctx, g, P, dx=dx, dy=dy):
-                    P1 = apply_point(self, ctx, g, P)
-                    return AffinePoint(ctx.add(P1.x, dx), ctx.add(P1.y, dy))
-                torsion.IsoMap.apply_point = wrong
-                try:
-                    torsion.normalize_enhanced(enh.C, enh.P, enh.Q)
-                    print("accepted")
-                except Exception as exc:
-                    print(type(exc).__name__, exc)
-        """)
-        assert out == [
-            "CertError normalized abscissas are not 0 and -1",
-            "CertError normalized points are not on the normalized curve",
-        ]
 
 
 class TestCensus:
