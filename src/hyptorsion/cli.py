@@ -15,6 +15,7 @@ pairing, numth or the acceptance suite imports it when it runs.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
 import re
@@ -47,15 +48,9 @@ def parse_field(spec: str, seed=0):
     return make_field({"kind": "GF", "p": p, "m": ext}, seed)
 
 
-# The largest extension degree m accepted for GF(p^m): at seeds 0-2,
-# GF(3^32) takes 12-33 ms to build and GF(3^40) 36-118 ms (in-process,
-# 2-core host).
-MAX_EXT_DEGREE = 32
-
-# GF(p^m) may have at most 2^MAX_FIELD_BITS elements.  The search for a
-# modulus also grows with p: at seeds 0-2, GF(13^32) (118 bits) takes
-# 0.12-0.53 s to build, GF(257^32) (256 bits) 0.16-0.35 s and
-# GF(2147483659^24) (744 bits) 0.5-1.8 s (in-process, 2-core host).
+# GF(p^m) may have at most 2^MAX_FIELD_BITS elements.  At seeds 0-2 the
+# largest fields it admits build in at most 0.9 s: GF(3^80), GF(5^55),
+# GF(7^45) and GF(13^34) (in-process, 2-core host).
 MAX_FIELD_BITS = 128
 
 # The largest field a census may enumerate.  Over GF(3^8) (6,561 elements) a
@@ -81,12 +76,12 @@ MAX_RATIONAL_G = 300
 
 
 def make_field(spec, seed):
-    """field_make for a parsed spec, refusing m > MAX_EXT_DEGREE or more
-    than 2^MAX_FIELD_BITS elements before the search for an irreducible
-    modulus starts."""
+    """field_make for a parsed spec, refusing more than 2^MAX_FIELD_BITS
+    elements before the search for an irreducible modulus starts.  As
+    p >= 3, an m above MAX_FIELD_BITS is refused before p^m is formed."""
     p, m = spec.get("p"), spec.get("m", 1)
-    if isinstance(m, (int, float)) and m > MAX_EXT_DEGREE:
-        raise CliError("bad-field", f"extension degree {m} exceeds {MAX_EXT_DEGREE}")
+    if isinstance(m, (int, float)) and m > MAX_FIELD_BITS:
+        raise CliError("bad-field", f"extension degree {m} exceeds {MAX_FIELD_BITS}")
     if (isinstance(p, int) and isinstance(m, int) and m > 0
             and p ** m > 2 ** MAX_FIELD_BITS):
         raise CliError("bad-field", f"GF({p}^{m}) has more than "
@@ -285,20 +280,21 @@ def cmd_construct_pair(args):
 
 
 def _templates(F, args):
+    """The templates of the walk --regime names, built as they are taken."""
     from .families import char_templates, nice_pairs_coprime
     if args.regime == "coprime":
         _check_genus(args.g)
         if args.g > 0 and math.comb(2 * args.g, args.g) > MAX_TEMPLATE_WALK:
             raise CliError("bad-args", f"the coprime regime would walk C(2g, g) > "
                            f"{MAX_TEMPLATE_WALK} templates")
-        return list(nice_pairs_coprime(F, args.g))
+        return nice_pairs_coprime(F, args.g)
     if args.p is None or args.k is None or args.l is None:
         raise CliError("bad-args", "--p, --k, --l are required for the char regime")
     _check_char_curve(args.g, args.p, args.k, args.l)
     if args.all_admissible and _walk_too_long(args.p, args.k, args.l):
         raise CliError("bad-args", "--all-admissible would walk (p^k + 1)^(2l) > "
                        f"{MAX_TEMPLATE_WALK} exponent tuples")
-    return list(char_templates(F, args.p, args.k, args.l, ij_only=not args.all_admissible))
+    return char_templates(F, args.p, args.k, args.l, ij_only=not args.all_admissible)
 
 
 def _check_char_curve(g, p, k, l):
@@ -329,7 +325,7 @@ def _walk_too_long(p, k, l):
 def cmd_enumerate_families(args):
     from .families import symmetry_classes
     F = parse_field(args.field, args.seed)
-    templates = _templates(F, args)
+    templates = list(_templates(F, args))
     payload = {"count": len(templates),
                "families": [t.to_json() for t in templates]}
     if args.regime == "coprime":
@@ -341,9 +337,13 @@ def cmd_find_mu(args):
     from .families import find_good_mu
     F = parse_field(args.field, args.seed)
     templates = _templates(F, args)
-    if not 0 <= args.index < len(templates):
-        raise CliError("bad-args", f"--index out of range (have {len(templates)})")
-    t = templates[args.index]
+    # build the templates up to --index (islice takes a stop in 0 ..
+    # sys.maxsize); the rest are walked only to count them for the refusal
+    head = list(itertools.islice(templates, min(max(args.index + 1, 0), sys.maxsize)))
+    if not 0 <= args.index < len(head):
+        have = len(head) + sum(1 for _ in templates)
+        raise CliError("bad-args", f"--index out of range (have {have})")
+    t = head[-1]
     mu, cert, enh = find_good_mu(F, args.g, t)
     return {"family": t.to_json(mu=mu, F=F), "curve": enh.C.to_json(),
             "P": enh.P.to_json(F), "Q": enh.Q.to_json(F)}, "good-mu-scan"
@@ -396,7 +396,10 @@ def cmd_weil(args):
     from .pairing import weil_closed, weil_explicit, weil_result_json
     F = parse_field(args.field, args.seed)
     _check_genus(args.g)
-    I = tuple(int(i) for i in args.I.split(",")) if args.I else ()
+    try:
+        I = tuple(int(i) for i in args.I.split(",")) if args.I else ()
+    except ValueError:
+        raise CliError("bad-args", f"no coprime template with I = {args.I!r}") from None
     # the first template carries the labels, past nice_pairs_coprime's checks
     labels = next(nice_pairs_coprime(F, args.g)).labels
     if len(I) != args.g or list(I) != sorted(set(I) & set(range(2 * args.g))):

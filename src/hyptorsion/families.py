@@ -14,8 +14,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .fields import (FieldError, InsufficientFieldError, Rationals, nth_roots_of_unity,
-                     remember)
+from .fields import (FieldError, InsufficientFieldError, Rationals, memo,
+                     nth_roots_of_unity)
 from .jacobian import CurveError, involution
 from .numth import hyperelliptic_cert
 from .polyring import Poly, cyclotomic, reverse_scale
@@ -30,10 +30,6 @@ class RootLabel:
     eta: object
 
 
-# (field, n) -> eta_roots(field, n), kept as fields.remember keeps memos.
-_LABELS = {}
-
-
 def eta_roots(F, n):
     """RootLabels for all eps in M(n), in canonical zeta-power order, as a
     new list each call.
@@ -41,9 +37,10 @@ def eta_roots(F, n):
     Found once per field and n, when they also pass the product identity
     n * prod(x - eta(eps)) = (x+1)^n - x^n.
     """
-    return list(remember(_LABELS, (F, n), lambda: _eta_labels(F, n)))
+    return list(_eta_labels(F, n))
 
 
+@memo
 def _eta_labels(F, n):
     labels = []
     for eps in nth_roots_of_unity(F, n):

@@ -19,11 +19,12 @@ of random monic candidates, tested by Ben-Or's distinct-degree test, which
 drops most reducible candidates after a few Frobenius powers.  A process
 finds each field's facts once: the modulus of each (p, m, seed), and per
 field value (p and modulus) its tables, roots of unity and quadratic
-non-residue.  Each memo keeps at most _TABLES_KEPT keys.
+non-residue.  Each memo (`memo`) keeps the 16 keys used most recently.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import random
 from fractions import Fraction
@@ -457,12 +458,6 @@ class FiniteFieldMixin:
             return True
         return self.pow_el(a, (self.order - 1) // 2) == self.one
 
-    def _nonresidue(self):
-        for z in self.elements():
-            if z != self.zero and not self.is_square(z):
-                return z
-        raise FieldError("no quadratic non-residue found")  # unreachable, q odd
-
     def sqrt(self, a):
         if a == self.zero:
             return a
@@ -477,7 +472,7 @@ class FiniteFieldMixin:
             while d % 2 == 0:
                 d //= 2
                 e += 1
-            z = remember(_NONRESIDUES, self, self._nonresidue)
+            z = _nonresidue(self)
             m, c = e, self.pow_el(z, d)
             t, r = self.pow_el(a, d), self.pow_el(a, (d + 1) // 2)
             while t != self.one:
@@ -570,25 +565,20 @@ class PrimeField(FiniteFieldMixin, Field):
 _GCD_FIELDS = tuple(map(PrimeField, (10007, 10009, 10037, 10039, 10061)))
 
 
-# Each memo of per-field facts keeps at most this many keys, the oldest
-# dropped first.
-_TABLES_KEPT = 16
-_MODULI = {}            # repr((seed, p, m)), the seed of the search -> modulus
-_TABLES = {}            # (p, modulus) -> (exp, log, zech, neg)
-_ROOTS = {}             # (field, n) -> nth_roots_of_unity(field, n)
-_NONRESIDUES = {}       # field -> its least quadratic non-residue
+# The memo of each per-field fact: it keeps the values of the 16 keys used
+# most recently.  A field as a key stands for its value: fields compare by p
+# and modulus.  The values are ints and tuples, which no caller can change;
+# the public functions hand out lists.
+memo = functools.lru_cache(maxsize=16)
 
 
-def remember(cache, key, build):
-    """cache[key], from build() on first use; the cache keeps at most
-    _TABLES_KEPT keys, the oldest dropped first.  A field as a key stands
-    for its value: fields compare by p and modulus."""
-    value = cache.get(key)
-    if value is None:
-        if len(cache) >= _TABLES_KEPT:
-            del cache[next(iter(cache))]
-        value = cache[key] = build()
-    return value
+@memo
+def _nonresidue(F):
+    """The least quadratic non-residue of the finite field F."""
+    for z in F.elements():
+        if z != F.zero and not F.is_square(z):
+            return z
+    raise FieldError("no quadratic non-residue found")  # unreachable, q odd
 
 
 def _is_irreducible(modulus, p):
@@ -615,12 +605,12 @@ def find_irreducible(p, m, seed=0):
     searched once per process for each."""
     if m == 1:
         return [0, 1]
-    key = (seed, p, m).__repr__()
-    return list(remember(_MODULI, key, lambda: _first_irreducible(p, m, key)))
+    return list(_first_irreducible(p, m, seed))
 
 
-def _first_irreducible(p, m, rng_seed):
-    rng = random.Random(rng_seed)
+@memo
+def _first_irreducible(p, m, seed):
+    rng = random.Random(repr((seed, p, m)))
     while True:
         coeffs = [rng.randrange(p) for _ in range(m)] + [1]
         if _is_irreducible(coeffs, p):
@@ -647,28 +637,25 @@ def _index(coeffs, p):
     return acc
 
 
-def _tables(p, modulus):
-    """(exp, log, zech, neg) for GF(p)[x]/(modulus), built on first use.
+@memo
+def _build_tables(p, modulus):
+    """(exp, log, zech, neg) for GF(p)[x]/(modulus), the modulus a tuple.
 
     With g the least-index generator of the unit group and n = q - 1:
     exp[i] = g^i for 0 <= i < 2n, log[a] = i with g^i = a for a != 0,
     zech[i] = log(1 + g^i) (None where 1 + g^i = 0), neg[a] = -a.
     """
-    return remember(_TABLES, (p, modulus), lambda: _build_tables(p, list(modulus)))
-
-
-def _build_tables(p, mod):
     F = PrimeField(p)
-    q = p ** (len(mod) - 1)
+    q = p ** (len(modulus) - 1)
     n = q - 1
     cofactors = [n // r for r in factorize(n)]
     for gen in range(2, q):
         g = _digits(gen, p)
-        if all(F.poly_powmod(g, e, mod) != [1] for e in cofactors):
+        if all(F.poly_powmod(g, e, modulus) != [1] for e in cofactors):
             break
     exp, acc = [1], [1]
     for _ in range(n - 1):
-        acc = F.poly_mulmod(acc, g, mod)
+        acc = F.poly_mulmod(acc, g, modulus)
         exp.append(_index(acc, p))
     log = [None] * q
     for i, a in enumerate(exp):
@@ -709,7 +696,7 @@ class ExtField(FiniteFieldMixin, Field):
         # list -> polynomial over GF(p) -> index.
         self._exp = self._log = self._zech = self._neg = None
         if self.order <= _TABLE_MAX:
-            self._exp, self._log, self._zech, self._neg = _tables(p, self.modulus)
+            self._exp, self._log, self._zech, self._neg = _build_tables(p, self.modulus)
 
     def coerce(self, n):
         return n % self.p
@@ -829,9 +816,10 @@ def nth_roots_of_unity(F, n):
     field and n).  Raises InsufficientFieldError naming the minimal
     extension degree when the field lacks them.
     """
-    return list(remember(_ROOTS, (F, n), lambda: _roots_of_unity(F, n)))
+    return list(_roots_of_unity(F, n))
 
 
+@memo
 def _roots_of_unity(F, n):
     if n < 3 or n % 2 == 0:
         raise ValueError(f"n must be odd and >= 3, got {n}")

@@ -282,19 +282,23 @@ class TestCommands:
                 assert (code, out["status"]) == (0, "ok"), out
 
     def test_extension_degree_bound(self, capsys, tmp_path):
-        top = cli.MAX_EXT_DEGREE
-        assert cli.parse_field(f"GF:3,{top}").m == top
-        curve = tmp_path / "curve.json"
-        curve.write_text(json.dumps({"field": {"kind": "GF", "p": 3, "m": top + 1},
-                                     "g": 1, "f": [1, 0, 0, 1]}))
-        for argv in (
-                ["construct-single", "--field", f"GF:3,{top + 1}", "--g", "1",
-                 "--a", "1", "--v", "x"],
-                ["census", "--p", "3", "--m", str(top + 1), "--g", "1", "--n", "3",
-                 "--curve", "x^3+1"],
-                ["verify", "--curve", str(curve), "--point", "(0,1)"]):
-            code, out = run(capsys, argv)
-            assert (code, out["code"]) == (1, "bad-field"), argv
+        # 3^80 < 2^MAX_FIELD_BITS < 3^81, and an m above MAX_FIELD_BITS is
+        # refused before p^m is formed
+        assert cli.parse_field("GF:3,80").m == 80
+        for m in (81, 10 ** 9):
+            curve = tmp_path / f"curve-{m}.json"
+            curve.write_text(json.dumps({"field": {"kind": "GF", "p": 3, "m": m},
+                                         "g": 1, "f": [1, 0, 0, 1]}))
+            for argv in (
+                    ["construct-single", "--field", f"GF:3,{m}", "--g", "1",
+                     "--a", "1", "--v", "x"],
+                    ["census", "--p", "3", "--m", str(m), "--g", "1", "--n", "3",
+                     "--curve", "x^3+1"],
+                    ["verify", "--curve", str(curve), "--point", "(0,1)"]):
+                start = time.perf_counter()
+                code, out = run(capsys, argv)
+                assert time.perf_counter() - start < 1, argv
+                assert (code, out["code"]) == (1, "bad-field"), argv
 
     @pytest.mark.parametrize("spec, reason", [
         ({"p": 3, "m": True}, "field m must be a JSON integer"),
@@ -594,10 +598,24 @@ def test_weil_builds_only_the_named_template(capsys):
     code, out = run(capsys, ["weil", "--field", "GF:311", "--g", "15", "--I", I])
     assert time.perf_counter() - start < 1
     assert code == 0 and out["payload"]["I"] == list(range(15))
-    for bad in ("1,0", "0,0", "0,4", "-1,0", "0", "0,1,2"):
+    for bad in ("1,0", "0,0", "0,4", "-1,0", "0", "0,1,2", "0,", "a", "0,,1"):
         message = _refused_in_time(capsys, ["weil", "--field", "GF:11", "--g",
                                             "2", f"--I={bad}"])
         assert message.startswith("no coprime template with I = ")
+
+
+def test_find_mu_builds_the_templates_up_to_its_index(capsys, monkeypatch):
+    from hyptorsion import families
+    built, template = [], families.CoprimeTemplate
+    monkeypatch.setattr(families, "CoprimeTemplate",
+                        lambda g, labels, I: built.append(I) or template(g, labels, I))
+    find_mu = ["find-mu", "--field", "GF:11", "--g", "2", "--index"]
+    code, out = run(capsys, find_mu + ["1"])
+    assert (code, out["payload"]["family"]["I"]) == (0, [0, 2])
+    assert built == [(0, 1), (0, 2)]
+    for index in ("-1", "6", str(10 ** 20)):        # C(4, 2) = 6 templates
+        code, out = run(capsys, find_mu + [index])
+        assert (code, out["message"]) == (1, "--index out of range (have 6)"), index
 
 
 # The fields' polynomial arithmetic is defined on divisors and gcd operands
@@ -622,7 +640,7 @@ def test_kernel_operands_carry_no_trailing_zeros(capsys, monkeypatch, tabled):
 
     for name in POLY_METHODS:
         monkeypatch.setattr(fields.Field, name, checked(name, getattr(fields.Field, name)))
-    monkeypatch.setattr(fields, "_TABLES", {})
+    fields._build_tables.cache_clear()
     if not tabled:   # GF(3^4) element arithmetic then runs on GF(3) polynomials
         monkeypatch.setattr(fields, "_TABLE_MAX", 0)
     for argv in (["census", "--p", "3", "--m", "4", "--g", "1",

@@ -2,15 +2,14 @@ from fractions import Fraction
 
 import pytest
 
-from hyptorsion.families import (AdmissibleFn, CharTemplate, CoprimeTemplate,
-                                 RootLabel, admissible_enum, char_templates,
-                                 eta_roots, find_good_mu, mu_candidates,
-                                 nice_pairs_coprime, rational_four_torsion,
-                                 symmetry_classes, upsilon_ij_enum)
+from hyptorsion.families import (AdmissibleFn, CharTemplate, RootLabel,
+                                 admissible_enum, char_templates, eta_roots,
+                                 find_good_mu, mu_candidates, nice_pairs_coprime,
+                                 rational_four_torsion, symmetry_classes,
+                                 upsilon_ij_enum)
 from hyptorsion.fields import (ExtField, FieldError, InsufficientFieldError,
                                PrimeField, Rationals)
 from hyptorsion.jacobian import embed, exact_order
-from hyptorsion.polyring import Poly
 from hyptorsion.torsion import QSideDegeneracyError, verify_single
 
 F11 = PrimeField(11)

@@ -240,13 +240,22 @@ class TestTableField:
             assert F.mul(a, F.inv(a)) == F.one
             assert F.elem_from_json(json.loads(json.dumps(F.elem_to_json(a)))) == a
 
-    def test_table_cache_is_bounded(self, monkeypatch):
-        monkeypatch.setattr(fields, "_TABLES", {})
-        monkeypatch.setattr(fields, "_TABLES_KEPT", 2)
-        moduli = [(1, 0, 1), (2, 1, 1), (2, 2, 1)]   # the irreducible x^2 + bx + c
+    def test_table_cache_is_bounded(self):
+        tables = fields._build_tables
+        tables.cache_clear()
+        moduli = _irreducible_quadratics(7)[:17]
         for modulus in moduli:
-            ExtField(3, 2, modulus=modulus)
-        assert list(fields._TABLES) == [(3, m) for m in moduli[1:]]
+            ExtField(7, 2, modulus=modulus)
+        assert tables.cache_info()[1:] == (17, 16, 16)     # misses, maxsize, size
+        ExtField(7, 2, modulus=moduli[-1])      # kept
+        ExtField(7, 2, modulus=moduli[0])       # the least recently used, dropped
+        assert tables.cache_info()[:2] == (1, 18)
+
+
+def _irreducible_quadratics(p):
+    """The monic irreducible x^2 + bx + c over GF(p), as lists [c, b, 1]."""
+    return [[c, b, 1] for b in range(p) for c in range(p)
+            if fields._is_irreducible([c, b, 1], p)]
 
 
 def test_found_modulus_is_tested_once(monkeypatch):
@@ -260,7 +269,7 @@ def test_found_modulus_is_tested_once(monkeypatch):
         return is_irreducible(modulus, p)
 
     monkeypatch.setattr(fields, "_is_irreducible", counted)
-    monkeypatch.setattr(fields, "_MODULI", {})
+    fields._first_irreducible.cache_clear()
     for p, m, seed in ((3, 4, 0), (5, 3, 1), (29, 2, 3), (7, 1, 0)):
         first = ExtField(p, m, seed=seed).modulus
         assert calls or m == 1, (p, m)
@@ -286,12 +295,12 @@ def test_ben_or_matches_factor_search(p):
             assert fields._is_irreducible(f, p) == (not reducible), f
 
 
-def test_find_irreducible_keeps_its_moduli(monkeypatch):
+def test_find_irreducible_keeps_its_moduli():
     # The moduli the search returned when it tested candidates by Rabin's
     # test, for p in {3, 5, 7, 11, 13, 29}, m <= 8 and seeds 0-4, and for
     # GF(13^32) at seed 1: an exact test takes the same first irreducible
     # candidate of the same seeded stream.
-    monkeypatch.setattr(fields, "_MODULI", {})
+    fields._first_irreducible.cache_clear()
     grid = json.loads((Path(__file__).parent / "moduli_grid.json").read_text())
     assert len(grid) == 6 * 8 * 5 + 1
     for key, modulus in grid.items():
@@ -308,36 +317,39 @@ class TestFieldMemos:
         with pytest.raises(FieldError, match="reducible"):
             field_make({"kind": "GF", "p": 3, "m": 2, "modulus": [2, 0, 1]})
 
-    def test_seeds_keep_their_own_moduli(self, monkeypatch):
-        monkeypatch.setattr(fields, "_MODULI", {})
+    def test_seeds_keep_their_own_moduli(self):
+        fields._first_irreducible.cache_clear()
         seeds = range(5)
         first = [ExtField(13, 4, seed=s).modulus for s in seeds]
         assert len(set(first)) == len(first)
         again = [ExtField(13, 4, seed=s).modulus for s in reversed(seeds)]
         assert again[::-1] == first
-        assert len(fields._MODULI) == len(first)
+        assert fields._first_irreducible.cache_info()[:2] == (5, 5)  # hits, misses
 
-    def test_memos_are_bounded_and_keyed_on_value(self, monkeypatch):
-        memos = {"_MODULI": {}, "_TABLES": {}, "_ROOTS": {}, "_NONRESIDUES": {}}
-        for name, cache in memos.items():
-            monkeypatch.setattr(fields, name, cache)
-        monkeypatch.setattr(families, "_LABELS", {})
-        monkeypatch.setattr(fields, "_TABLES_KEPT", 2)
-        built = [ExtField(5, 2, seed=s) for s in range(4)]
+    def test_memos_are_bounded_and_keyed_on_value(self):
+        per_field = (fields._build_tables, fields._roots_of_unity,
+                     fields._nonresidue, families._eta_labels)
+        for memo in (fields._first_irreducible,) + per_field:
+            memo.cache_clear()
+        for seed in range(17):
+            find_irreducible(7, 2, seed=seed)
+        assert fields._first_irreducible.cache_info()[1:] == (17, 16, 16)
+        # GF(49) has square roots by Tonelli-Shanks and cube roots of unity
+        built = [ExtField(7, 2, modulus=m) for m in _irreducible_quadratics(7)[:17]]
         for F in built:
             eta_roots(F, 3)
             F.sqrt(F.one)
         # a field built again from its modulus hits the memos
-        again = ExtField(5, 2, modulus=built[-1].modulus)
+        again = ExtField(7, 2, modulus=built[-1].modulus)
         eta_roots(again, 3)
+        nth_roots_of_unity(again, 3)
         again.sqrt(again.one)
-        caches = list(memos.values()) + [families._LABELS]
-        for cache in caches:
-            assert len(cache) == 2, cache
-        assert list(fields._ROOTS) == [(F, 3) for F in built[2:]]
-        assert list(families._LABELS) == [(F, 3) for F in built[2:]]
-        assert list(fields._NONRESIDUES) == built[2:]
-        assert fields._NONRESIDUES[again] == built[-1]._nonresidue()
+        for memo in per_field:                  # hits, misses, maxsize, size
+            assert memo.cache_info() == (1, 17, 16, 16), memo
+        assert fields._nonresidue(again) == fields._nonresidue.__wrapped__(built[-1])
+        # the least recently used field was dropped
+        eta_roots(built[0], 3)
+        assert families._eta_labels.cache_info()[:2] == (1, 18)
 
     def test_callers_cannot_mutate_cached_values(self):
         F = ExtField(3, 4)

@@ -1,6 +1,7 @@
-"""What `import hyptorsion.cli` loads, the package's lazy re-exports, and
-what `setup.py build` puts in the package."""
+"""What `import hyptorsion.cli` loads, the package's lazy re-exports, that
+every import is used, and what `setup.py build` puts in the package."""
 
+import ast
 import importlib
 import json
 import shutil
@@ -65,6 +66,44 @@ def test_fields_own_polynomial_arithmetic():
     # GF(p) runs the generic loops of Field, as GF(p^m) does
     for cls in (fields.PrimeField, fields.ExtField):
         assert not [name for name in vars(cls) if name.startswith("poly_")], cls
+
+
+def _unused_imports(path):
+    """(line, name) of each name an import binds in the file that no other
+    node names.  `__future__` imports, and names listed in `__all__` or
+    `_EXPORTS`, count as used."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    imported, used = {}, set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            if getattr(node, "module", None) == "__future__":
+                continue
+            for alias in node.names:
+                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id in ("__all__", "_EXPORTS")
+                for t in node.targets):
+            used.update(c.value for c in ast.walk(node.value)
+                        if isinstance(c, ast.Constant) and isinstance(c.value, str))
+    return sorted((line, name) for name, line in imported.items() if name not in used)
+
+
+def test_every_import_is_used():
+    files = sorted([*(ROOT / "src").rglob("*.py"), *(ROOT / "tests").rglob("*.py")])
+    assert len(files) > 20
+    unused = {str(p.relative_to(ROOT)): found for p in files
+              if (found := _unused_imports(p))}
+    assert unused == {}
+
+
+def test_unused_import_check_sees_each_kind(tmp_path):
+    source = tmp_path / "m.py"
+    source.write_text("from __future__ import annotations\n"
+                      "import os.path\nimport json as j\nfrom a import b, c\n"
+                      "from d import e\n_EXPORTS = {'d': ('e',)}\nprint(c)\n")
+    assert _unused_imports(source) == [(2, "os"), (3, "j"), (4, "b")]
 
 
 def test_setup_py_builds_the_pure_package(tmp_path):

@@ -5,13 +5,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hyptorsion import acceptance, jacobian
-from hyptorsion.fields import ExtField, PrimeField, Rationals
+from hyptorsion.fields import ExtField, PrimeField, Rationals, factorize
 from hyptorsion.jacobian import (AffinePoint, Curve, DegreeError,
                                  MumfordDivisor, NotMonicError,
                                  NotSquarefreeError, cantor_add, embed,
                                  exact_order, identity, involution, neg,
                                  points_with_x, scalar_mul)
 from hyptorsion.polyring import Poly
+from hyptorsion.torsion import make_single
 
 F11 = PrimeField(11)
 C_X5_1 = Curve(F11, 2, Poly.from_ints(F11, [1, 0, 0, 0, 0, 1]))
@@ -478,3 +479,127 @@ def test_census_runs_no_general_composition(monkeypatch):
     ok, detail = acceptance.criterion_2_census()
     assert ok, detail
     assert not calls
+
+
+# -- a group-order oracle for Cantor: #J from point counts ---------------------
+#
+# For f with coefficients in GF(p), #J over GF(p^m) follows from the counts
+# #C(GF(p^i)), i <= g, through the L-polynomial of C over GF(p), with no
+# composition of divisors (Handbook of Elliptic and Hyperelliptic Curve
+# Cryptography, ch. 8).  It checks Cantor's law from outside.
+
+def _point_count(f, p, i):
+    """#C(GF(p^i)) for y^2 = f(x), f a list of GF(p) coefficients: the point
+    at infinity, and 1 + (f(x) / GF(p^i)) points over each x."""
+    K = PrimeField(p) if i == 1 else ExtField(p, i)
+    count = 1
+    for x in K.elements():
+        y2 = K.poly_eval(f, x)
+        count += 1 if y2 == K.zero else 2 * K.is_square(y2)
+    return count
+
+
+def _elementary(S, d):
+    """e_0 .. e_d of the numbers whose power sums are S[1], S[2], ...
+    (Newton's identities)."""
+    e = [1]
+    for k in range(1, d + 1):
+        total = sum((-1) ** (i - 1) * e[k - i] * S[i] for i in range(1, k + 1))
+        assert total % k == 0, (S, k)
+        e.append(total // k)
+    return e
+
+
+def _power_sums(e, n):
+    """The power sums S[0 .. n] of the d numbers whose elementary symmetric
+    functions are e[0 .. d]."""
+    d = len(e) - 1
+    S = [d]
+    for k in range(1, n + 1):
+        S.append(sum((-1) ** (i - 1) * e[i] * S[k - i] for i in range(1, min(k, d + 1)))
+                 + ((-1) ** (k - 1) * k * e[k] if k <= d else 0))
+    return S
+
+
+def jacobian_order(C):
+    """#J(GF(p^m)) for f in GF(p)[x] and p^g <= 2^13.  With the 2g roots
+    alpha of the reversed L-polynomial of C over GF(p), S_i = sum alpha^i =
+    p^i + 1 - #C(GF(p^i)); Newton's identities give e_1 .. e_g, and
+    e_(2g-k) = p^(g-k) e_k the rest.  Then #J(GF(p^m)) = prod(1 - alpha^m),
+    read off the power sums S_(km) of the alpha^m."""
+    K, g = C.ctx, C.g
+    p, m = K.p, getattr(K, "m", 1)
+    f = [K.to_index(c) for c in C.f.coeffs]
+    assert max(f) < p and p ** g <= 2 ** 13, C
+    S = [None] + [p ** i + 1 - _point_count(f, p, i) for i in range(1, g + 1)]
+    e = _elementary(S, g)
+    e += [p ** (k - g) * e[2 * g - k] for k in range(g + 1, 2 * g + 1)]
+    S = _power_sums(e, 2 * g * m)
+    e_m = _elementary([None] + [S[k * m] for k in range(1, 2 * g + 1)], 2 * g)
+    return sum((-1) ** k * c for k, c in enumerate(e_m))
+
+
+def _census_like_curves():
+    """Curves y^2 = (x-a)^{2g+1} + v^2 over GF(3^4), a and v over GF(3), as
+    the census benchmark draws them: two of genus 1 and one of genus 4, each
+    with its point of order 2g+1."""
+    rng, out = random.Random(81), []
+    for g in (1, 1, 4):
+        while True:
+            a = rng.randrange(3)
+            v = Poly(F81, [rng.randrange(3) for _ in range(g + 1)])
+            if v(a) == F81.zero:
+                continue
+            try:
+                C, P, _ = make_single(F81, g, a, v)
+            except NotSquarefreeError:
+                continue
+            if all(C != D for D, _ in out):
+                out.append((C, P))
+                break
+    return out
+
+
+CENSUS_LIKE = _census_like_curves()
+ORACLE_CURVES = [C_G1_F13, C_X5_1, C_G2_F13, C_G4_F81] + [C for C, _ in CENSUS_LIKE]
+ORACLE_IDS = ["g1/GF13", "x5+1/GF11", "g2/GF13", "g4/GF81",
+              "census-g1a/GF81", "census-g1b/GF81", "census-g4/GF81"]
+
+
+class TestGroupOrderOracle:
+    def test_known_orders(self):
+        # genus 1: #J is the number of pairs (x, y) on y^2 = x^3 + 2x + 3,
+        # and the point at infinity
+        pairs = [(x, y) for x in range(13) for y in range(13)
+                 if (y * y - x ** 3 - 2 * x - 3) % 13 == 0]
+        assert jacobian_order(C_G1_F13) == len(pairs) + 1
+        # 13 = 3 mod 5 makes x -> x^5 a bijection of GF(13) and of GF(13^2),
+        # so y^2 = x^5 + 1 has L(T) = 1 + 13^2 T^4 over GF(13)
+        C = Curve(F13, 2, Poly.from_ints(F13, [1, 0, 0, 0, 0, 1]))
+        assert jacobian_order(C) == 13 ** 2 + 1
+
+    @pytest.mark.parametrize("C", ORACLE_CURVES, ids=ORACLE_IDS)
+    def test_order_kills_the_jacobian(self, C):
+        N, q = jacobian_order(C), C.ctx.order
+        assert (q ** 0.5 - 1) ** (2 * C.g) <= N <= (q ** 0.5 + 1) ** (2 * C.g), N
+        pts = [P for x0 in C.ctx.elements() for P in points_with_x(C, x0)]
+        if C.ctx.order > C.ctx.p:
+            pts = _up_to_frobenius_and_sign(C, pts)
+        points = [embed(C, P) for P in pts]
+        for D in points + _divisors(C, N, 20):
+            assert scalar_mul(C, N, D).is_identity, D
+        for D in points:
+            order = exact_order(C, D, N)
+            assert order is not None and N % order == 0, D
+            if N <= 2000:
+                assert _order_up_to(C, D, N) == order, D
+            else:       # [order]D = 0 and no prime divides out of order
+                assert scalar_mul(C, order, D).is_identity, D
+                assert not any(scalar_mul(C, order // r, D).is_identity
+                               for r in factorize(order)), D
+
+    @pytest.mark.parametrize("C, P", CENSUS_LIKE, ids=ORACLE_IDS[4:])
+    def test_certified_point_order_divides_the_jacobian(self, C, P):
+        N, n = jacobian_order(C), 2 * C.g + 1
+        assert N % n == 0
+        assert exact_order(C, embed(C, P), N) == n
