@@ -70,8 +70,8 @@ MAX_HYPERELLIPTIC_SCAN = 50_000
 MAX_HYPERELLIPTIC_N = 10 ** 8
 
 # The largest --g rational-g52 may take.  Building the curve from the
-# cyclotomic factors grows about as g^2.5: g = 262 takes about 3 s, 292
-# about 4 s and 412 about 8 s.
+# cyclotomic factors grows about as g^1.8: g = 52 takes about 0.04 s, 262
+# about 0.7 s, 292 about 0.8 s and 412 about 1.4 s (in-process, 2-core host).
 MAX_RATIONAL_G = 300
 
 
@@ -95,12 +95,13 @@ _TOKEN = re.compile(r"\s*(\d+|[x^+\-*()]|.)")
 # counts as degree 1), so x^99999999999 is refused before it is expanded.
 MAX_POLY_DEGREE = 1000
 
-# The most templates a family walk may visit: the C(2g, g) coprime templates
-# of enumerate-families and find-mu, or the (p^k + 1)^(2l) exponent tuples of
-# --all-admissible.  As CLI processes on a 2-core host, enumerate-families
-# takes 4.6 s and prints 38 MB for the C(20, 10) = 184,756 templates of
-# GF(43) at g = 10, and 18 s and 154 MB at g = 11; --all-admissible takes
-# 1.5 s for 20^4 tuples over GF(19^2) and 12 s for 10^6 over GF(3^6).
+# The most templates a family walk may visit: the C(2g, g) coprime or C(2l, l)
+# char templates of enumerate-families and find-mu, or the (p^k + 1)^(2l)
+# exponent tuples of --all-admissible.  As CLI processes on a 2-core host,
+# enumerate-families takes 4.6 s and prints 38 MB for the C(20, 10) = 184,756
+# templates of GF(43) at g = 10, and 18 s and 154 MB at g = 11;
+# --all-admissible takes 1.5 s for 20^4 tuples over GF(19^2) and 12 s for
+# 10^6 over GF(3^6).
 MAX_TEMPLATE_WALK = 2 * 10 ** 5
 
 
@@ -237,7 +238,7 @@ def load_curve(args, F):
 
 def _check_genus(g):
     """Refuse a --g whose curve degree 2g+1 exceeds MAX_POLY_DEGREE, the
-    bound _check_char_curve puts on the char regime's p^k(2l+1)."""
+    bound _check_char_walk puts on the char regime's p^k(2l+1)."""
     if 2 * g + 1 > MAX_POLY_DEGREE:
         raise CliError("bad-args", f"the curve degree 2g+1 = {2 * g + 1} would "
                        f"exceed {MAX_POLY_DEGREE}")
@@ -290,17 +291,16 @@ def _templates(F, args):
         return nice_pairs_coprime(F, args.g)
     if args.p is None or args.k is None or args.l is None:
         raise CliError("bad-args", "--p, --k, --l are required for the char regime")
-    _check_char_curve(args.g, args.p, args.k, args.l)
-    if args.all_admissible and _walk_too_long(args.p, args.k, args.l):
-        raise CliError("bad-args", "--all-admissible would walk (p^k + 1)^(2l) > "
-                       f"{MAX_TEMPLATE_WALK} exponent tuples")
+    _check_char_walk(args)
     return char_templates(F, args.p, args.k, args.l, ij_only=not args.all_admissible)
 
 
-def _check_char_curve(g, p, k, l):
-    """Refuse a char template whose curve degree n = p^k(2l+1) exceeds
-    MAX_POLY_DEGREE, decided without forming p^k for a large k, or whose
-    genus (n - 1)/2 is not g.  Values the family code rejects pass."""
+def _check_char_walk(args):
+    """Refuse a char walk whose curve degree n = p^k(2l+1) exceeds
+    MAX_POLY_DEGREE, decided without forming p^k for a large k, whose genus
+    (n - 1)/2 is not --g, or that visits more than MAX_TEMPLATE_WALK
+    templates.  Values the family code rejects pass."""
+    g, p, k, l = args.g, args.p, args.k, args.l
     if p < 2 or k < 0 or l < 0:
         return
     # p^k >= 2^k > MAX_POLY_DEGREE once k reaches its bit length
@@ -311,15 +311,12 @@ def _check_char_curve(g, p, k, l):
     if g != (n - 1) // 2:
         raise CliError("bad-args", f"--g {g} is not the genus (p^k(2l+1) - 1)/2 = "
                        f"{(n - 1) // 2} of the char templates")
-
-
-def _walk_too_long(p, k, l):
-    """(p^k + 1)^(2l) > MAX_TEMPLATE_WALK; _check_char_curve has already
-    capped p^k(2l+1) at MAX_POLY_DEGREE.  Values the family code rejects, or
-    that give at most one tuple, pass."""
-    if p < 2 or k < 0 or l < 1:
-        return False
-    return (p ** k + 1) ** (2 * l) > MAX_TEMPLATE_WALK
+    if args.all_admissible and (p ** k + 1) ** (2 * l) > MAX_TEMPLATE_WALK:
+        raise CliError("bad-args", "--all-admissible would walk (p^k + 1)^(2l) > "
+                       f"{MAX_TEMPLATE_WALK} exponent tuples")
+    if math.comb(2 * l, l) > MAX_TEMPLATE_WALK:
+        raise CliError("bad-args", "the char regime would walk C(2l, l) > "
+                       f"{MAX_TEMPLATE_WALK} templates")
 
 
 def cmd_enumerate_families(args):
@@ -380,7 +377,7 @@ def cmd_hyperelliptic(args):
 
 
 def cmd_census(args):
-    F = parse_field(f"GF:{args.p},{args.m}" if args.m > 1 else f"GF:{args.p}",
+    F = parse_field(f"GF:{args.p},{args.m}" if args.m != 1 else f"GF:{args.p}",
                     args.seed)
     F, C = load_curve(args, F)
     if F.is_finite and F.order > MAX_CENSUS_ORDER:
@@ -442,9 +439,21 @@ class _ArgumentParser(argparse.ArgumentParser):
         raise CliError("bad-args", f"{self.prog}: {message}")
 
 
-def build_parser():
+COMMANDS = ("construct-single", "verify", "construct-pair", "enumerate-families",
+            "find-mu", "rational-g52", "hyperelliptic", "census", "weil", "selftest")
+
+
+def build_parser(command=None):
+    """The parser.  Only the subcommand `command` names gets its options, or
+    every one when it names none; each keeps its help and func, so top-level
+    help and usage errors read the same."""
     ap = _ArgumentParser(prog="hyptorsion", description=__doc__)
     sub = ap.add_subparsers(dest="command", required=True)
+
+    def add(name, help_text, func):
+        p = sub.add_parser(name, help=help_text)
+        p.set_defaults(func=func)
+        return p if command == name or command not in COMMANDS else None
 
     def common(p, field=True, g=False):
         if field:
@@ -454,76 +463,71 @@ def build_parser():
             p.add_argument("--g", type=int, required=True)
         p.add_argument("--json-out", dest="json_out", default=None)
 
-    p = sub.add_parser("construct-single", help="curve from a single-point certificate")
-    common(p, g=True)
-    p.add_argument("--a", required=True)
-    p.add_argument("--v", required=True)
-    p.set_defaults(func=cmd_construct_single)
+    if p := add("construct-single", "curve from a single-point certificate",
+                cmd_construct_single):
+        common(p, g=True)
+        p.add_argument("--a", required=True)
+        p.add_argument("--v", required=True)
 
-    p = sub.add_parser("verify", help="certify a point has order 2g+1")
-    common(p)
-    p.add_argument("--g", type=int, default=None)
-    p.add_argument("--curve", required=True, help="poly text or curve .json file")
-    p.add_argument("--point", required=True, help="(x,y)")
-    p.add_argument("--oracle", action="store_true", help="also run the Cantor oracle")
-    p.set_defaults(func=cmd_verify)
+    if p := add("verify", "certify a point has order 2g+1", cmd_verify):
+        common(p)
+        p.add_argument("--g", type=int, default=None)
+        p.add_argument("--curve", required=True, help="poly text or curve .json file")
+        p.add_argument("--point", required=True, help="(x,y)")
+        p.add_argument("--oracle", action="store_true", help="also run the Cantor oracle")
 
-    p = sub.add_parser("construct-pair", help="curve from a pair certificate")
-    common(p, g=True)
-    for flag in ("--a1", "--a2", "--u1", "--u2"):
-        p.add_argument(flag, required=True)
-    p.set_defaults(func=cmd_construct_pair)
+    if p := add("construct-pair", "curve from a pair certificate", cmd_construct_pair):
+        common(p, g=True)
+        for flag in ("--a1", "--a2", "--u1", "--u2"):
+            p.add_argument(flag, required=True)
 
     for name, help_text, func in (
             ("enumerate-families", "all family templates", cmd_enumerate_families),
             ("find-mu", "first good scalar for a template", cmd_find_mu)):
-        p = sub.add_parser(name, help=help_text)
+        if p := add(name, help_text, func):
+            common(p, g=True)
+            p.add_argument("--regime", choices=("coprime", "char"), default="coprime")
+            for flag in ("--p", "--k", "--l"):
+                p.add_argument(flag, type=int, default=None)
+            p.add_argument("--all-admissible", action="store_true")
+            if name == "find-mu":
+                p.add_argument("--index", type=int, default=0)
+
+    if p := add("rational-g52", "rational curve with four torsion points",
+                cmd_rational_g52):
+        common(p, field=False)
+        p.add_argument("--g", type=int, default=52)
+
+    if p := add("hyperelliptic", "totient certificates and scans", cmd_hyperelliptic):
+        common(p, field=False)
+        one = p.add_mutually_exclusive_group(required=True)
+        one.add_argument("--n", type=int)
+        one.add_argument("--max", type=int)
+
+    if p := add("census", "all points of exact order n", cmd_census):
+        common(p, field=False)
+        p.add_argument("--p", type=int, required=True)
+        p.add_argument("--m", type=int, default=1)
+        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--g", type=int, default=None)
+        p.add_argument("--curve", required=True)
+        p.add_argument("--n", type=int, required=True)
+
+    if p := add("weil", "Weil pairing, explicit and closed form", cmd_weil):
         common(p, g=True)
-        p.add_argument("--regime", choices=("coprime", "char"), default="coprime")
-        for flag in ("--p", "--k", "--l"):
-            p.add_argument(flag, type=int, default=None)
-        p.add_argument("--all-admissible", action="store_true")
-        p.set_defaults(func=func)
-    p.add_argument("--index", type=int, default=0)      # find-mu's alone
+        p.add_argument("--I", required=True, help="comma-separated indices into M(2g+1)")
+        p.add_argument("--mu", default=None)
 
-    p = sub.add_parser("rational-g52", help="rational curve with four torsion points")
-    common(p, field=False)
-    p.add_argument("--g", type=int, default=52)
-    p.set_defaults(func=cmd_rational_g52)
-
-    p = sub.add_parser("hyperelliptic", help="totient certificates and scans")
-    common(p, field=False)
-    one = p.add_mutually_exclusive_group(required=True)
-    one.add_argument("--n", type=int)
-    one.add_argument("--max", type=int)
-    p.set_defaults(func=cmd_hyperelliptic)
-
-    p = sub.add_parser("census", help="all points of exact order n")
-    common(p, field=False)
-    p.add_argument("--p", type=int, required=True)
-    p.add_argument("--m", type=int, default=1)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--g", type=int, default=None)
-    p.add_argument("--curve", required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.set_defaults(func=cmd_census)
-
-    p = sub.add_parser("weil", help="Weil pairing, explicit and closed form")
-    common(p, g=True)
-    p.add_argument("--I", required=True, help="comma-separated indices into M(2g+1)")
-    p.add_argument("--mu", default=None)
-    p.set_defaults(func=cmd_weil)
-
-    p = sub.add_parser("selftest", help="run the acceptance suite")
-    common(p, field=False)
-    p.set_defaults(func=cmd_selftest)
+    if p := add("selftest", "run the acceptance suite", cmd_selftest):
+        common(p, field=False)
     return ap
 
 
 def main(argv=None):
     args = None
+    argv = sys.argv[1:] if argv is None else argv
     try:
-        args = build_parser().parse_args(argv)
+        args = build_parser(argv[0] if argv else None).parse_args(argv)
         out = args.func(args)
         code = 0
         if len(out) == 3:

@@ -366,6 +366,20 @@ class Rationals(Field):
     def to_json(self):
         return {"kind": "Q"}
 
+    def poly_mul(self, a, b):
+        """Over Z: take out each operand's common denominator, convolve the
+        integer numerators and divide once per coefficient."""
+        if not a or not b:
+            return []
+        (da, ia), (db, ib) = _clear_denominators(a), _clear_denominators(b)
+        out = [0] * (len(a) + len(b) - 1)
+        for i, x in enumerate(ia):
+            if x:
+                for j, y in enumerate(ib):
+                    out[i + j] += x * y
+        den = da * db
+        return [Fraction(c, den) for c in out]
+
     def poly_gcd(self, a, b):
         """Primitive PRS on integer polynomials, which keeps coefficient
         growth in check at large degree.  Coprime images modulo a prime that
@@ -397,14 +411,16 @@ class Rationals(Field):
         return "Q"
 
 
+def _clear_denominators(a):
+    """(d, the integers c * d) for the least common denominator d of the
+    rational coefficients c of a."""
+    den = math.lcm(*(c.denominator for c in a))
+    return den, [c.numerator * (den // c.denominator) for c in a]
+
+
 def _to_zz(a):
     """Primitive integer coefficient list of a rational polynomial."""
-    if not a:
-        return []
-    den = 1
-    for c in a:
-        den = den * c.denominator // math.gcd(den, c.denominator)
-    return _zz_primitive([int(c * den) for c in a])
+    return _zz_primitive(_clear_denominators(a)[1]) if a else []
 
 
 def _zz_primitive(a):

@@ -1,3 +1,4 @@
+import argparse
 import collections
 import contextlib
 import io
@@ -230,6 +231,10 @@ class TestCommands:
          "--curve", "x^3+1"],
         ["verify", "--curve", "huge-extension.json", "--point", "(0,1)"],
         ["census", "--p", "3", "--m", "14", "--g", "1", "--n", "3",
+         "--curve", "x^3+2*x+1"],
+        ["census", "--p", "5", "--m", "0", "--g", "1", "--n", "3",
+         "--curve", "x^3+2*x+1"],
+        ["census", "--p", "5", "--m", "-3", "--g", "1", "--n", "3",
          "--curve", "x^3+2*x+1"],
         ["census", "--p", "1000003", "--g", "1", "--n", "3",
          "--curve", "x^3+2*x+1"],
@@ -497,6 +502,81 @@ def test_every_argv_prints_one_envelope(argv, tmp_path_factory):
                             "extension_degree"}
 
 
+# -- the parser of one subcommand --------------------------------------------
+# main builds options only for the subcommand argv[0] names.
+
+def _subcommands(parser):
+    [action] = [a for a in parser._actions
+                if isinstance(a, argparse._SubParsersAction)]
+    return action
+
+
+def _shape(parser):
+    """What a parser parses and prints: its actions, its mutually exclusive
+    groups and its set_defaults values."""
+    return ([(type(a), a.option_strings, a.dest, a.default, a.required, a.type,
+              a.choices, a.nargs, a.const, a.metavar, a.help) for a in parser._actions],
+            [(group.required, [a.dest for a in group._group_actions])
+             for group in parser._mutually_exclusive_groups],
+            parser._defaults)
+
+
+def test_named_subcommand_gets_the_full_parsers_options():
+    full = _subcommands(cli.build_parser())
+    assert tuple(full.choices) == cli.COMMANDS
+    for name in cli.COMMANDS:
+        named = _subcommands(cli.build_parser(name))
+        assert [(c.dest, c.help) for c in named._choices_actions] == \
+            [(c.dest, c.help) for c in full._choices_actions]
+        for other, parser in named.choices.items():
+            if other == name:
+                assert _shape(parser) == _shape(full.choices[name]), name
+            else:
+                assert [a.dest for a in parser._actions] == ["help"], (name, other)
+                assert parser._defaults == full.choices[other]._defaults
+
+
+def test_weil_adds_only_its_own_options(capsys, monkeypatch):
+    # the top-level -h, the ten subcommands' -h and weil's six options
+    calls = []
+    add_argument = argparse._ActionsContainer.add_argument
+    monkeypatch.setattr(argparse._ActionsContainer, "add_argument",
+                        lambda self, *args, **kwargs: calls.append(args)
+                        or add_argument(self, *args, **kwargs))
+    code, out = run(capsys, ["weil", "--field", "GF:11", "--g", "2", "--I", "0,1"])
+    assert code == 0 and out["payload"]["match"] is True
+    assert len(calls) <= 17, calls
+
+
+def _printed(argv):
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:       # --help
+            code = exc.code
+    return stdout.getvalue(), code
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(argv=ARGVS)
+# argv[0] names no subcommand, so every subcommand gets its options
+@example(argv=[])
+@example(argv=["bogus"])
+@example(argv=["-h"])
+@example(argv=["--", "hyperelliptic", "--n", "105"])
+@example(argv=["-x", "hyperelliptic", "--n", "105"])
+@example(argv=["census", "--help"])
+@example(argv=["construct-single", "--fie=GF:5", "--g=2", "--a=0", "--v=x+1"])
+def test_named_options_print_what_the_full_parser_prints(argv, tmp_path_factory):
+    full = cli.build_parser
+    with contextlib.chdir(tmp_path_factory.getbasetemp()):
+        named = _printed(argv)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(cli, "build_parser", lambda command=None: full())
+            assert _printed(argv) == named
+
+
 # -- --seed, --max and the kernel operand contract ---------------------------
 
 @pytest.mark.parametrize("argv", [["selftest", "--seed", "1"],
@@ -580,6 +660,19 @@ def test_coprime_template_walk_is_bounded(capsys, command, field, g):
     # C(22, 11) = 705,432 and C(60, 30) > 10^17 exceed MAX_TEMPLATE_WALK
     message = _refused_in_time(capsys, [command, "--field", field, "--g", g])
     assert "C(2g, g)" in message
+
+
+# C(40, 20) > 10^11 char templates of degree 83^0 * 41 over GF(83)
+CHAR_WALK = ["--field", "GF:83", "--g", "20", "--regime", "char", "--p", "83",
+             "--k", "0", "--l", "20"]
+
+
+@pytest.mark.parametrize("argv", [["enumerate-families"] + CHAR_WALK,
+                                  ["find-mu"] + CHAR_WALK,
+                                  ["find-mu"] + CHAR_WALK + ["--index=-1"]])
+def test_char_template_walk_is_bounded(capsys, argv):
+    message = _refused_in_time(capsys, argv)
+    assert message.startswith("the char regime would walk C(2l, l) > "), message
 
 
 def test_genus_bounds_admit_their_edges(capsys):

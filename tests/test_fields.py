@@ -93,6 +93,19 @@ class TestRationals:
         assert with_shortcut == [F.poly_gcd(a, b) for a, b in cases]
         assert sum(len(g) > 1 for g in with_shortcut) >= 40
 
+    def test_poly_mul_matches_the_generic_loop(self):
+        # products over Z with one division per coefficient, against the
+        # Field loop over Fraction elements; zero coefficients included
+        rng = random.Random(15)
+        for _ in range(200):
+            a, b = ([Fraction(rng.randrange(-9, 10), rng.randrange(1, 13))
+                     for _ in range(rng.randrange(0, 8))]
+                    + [Fraction(rng.randrange(1, 9))] for _ in range(2))
+            product = self.F.poly_mul(a, b)
+            assert product == fields.Field.poly_mul(self.F, a, b)
+            assert all(type(c) is Fraction for c in product)
+        assert self.F.poly_mul([], [Fraction(1)]) == []
+
     def test_json(self):
         assert self.F.elem_to_json(Fraction(-3, 7)) == "-3/7"
         assert self.F.elem_from_json("-3/7") == Fraction(-3, 7)
