@@ -17,8 +17,7 @@ _EXPORTS = {
                  "exact_order", "identity", "involution", "neg", "points_with_x",
                  "scalar_mul"),
     "kernels": ("BACKEND",),
-    "polyring": ("Poly", "cyclotomic", "diff_power", "is_squarefree", "poly_sqrt",
-                 "reverse_scale"),
+    "polyring": ("Poly", "diff_power", "is_squarefree", "poly_sqrt"),
     "torsion": ("EnhancedCurve", "PairCert", "SingleCert", "make_pair",
                 "make_single", "recover_pair", "torsion_census", "verify_single"),
     "families": ("AdmissibleFn", "CoprimeTemplate", "CharTemplate", "eta_roots",

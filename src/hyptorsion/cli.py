@@ -69,9 +69,9 @@ MAX_HYPERELLIPTIC_SCAN = 50_000
 # bounds the table built after that pass.
 MAX_HYPERELLIPTIC_N = 10 ** 8
 
-# The largest --g rational-g52 may take.  Building the curve from the
-# cyclotomic factors grows about as g^1.8: g = 52 takes about 0.04 s, 262
-# about 0.7 s, 292 about 0.8 s and 412 about 1.4 s (in-process, 2-core host).
+# The largest --g rational-g52 may take.  Building the curve, mostly the mu
+# scan's squarefreeness test, grows about as g^2: g = 52 takes 0.013 s, 262
+# 0.25 s, 292 0.45 s and 412 0.6-1.1 s (in-process, 2-core host).
 MAX_RATIONAL_G = 300
 
 
@@ -118,12 +118,21 @@ def _tokenize(s):
     return tokens
 
 
+def _shallow(code, what, parse, *args):
+    """parse(*args), refusing as `code` input nested too deeply to parse."""
+    try:
+        return parse(*args)
+    except RecursionError:
+        raise CliError(code, f"{what} nests too deeply") from None
+
+
 def parse_poly(ctx, text: str) -> Poly:
     """Coefficient-array JSON, or the restricted syntax over +, -, *, ^, x,
     integers and parentheses."""
     text = text.strip()
     if text.startswith("["):
-        return Poly.from_json(ctx, json.loads(text))
+        return Poly.from_json(ctx, _shallow("bad-poly", "the polynomial",
+                                            json.loads, text))
     tokens = _tokenize(text)
     pos = 0
 
@@ -186,7 +195,7 @@ def parse_poly(ctx, text: str) -> Poly:
             acc = acc + nxt if op == "+" else acc - nxt
         return acc
 
-    result = expr()
+    result = _shallow("bad-poly", "the polynomial", expr)
     if pos != len(tokens):
         raise CliError("bad-poly", f"trailing token {tokens[pos]!r}")
     return result
@@ -195,13 +204,13 @@ def parse_poly(ctx, text: str) -> Poly:
 def parse_elem(ctx, text: str):
     text = text.strip()
     if text.startswith("["):
-        return ctx.elem_from_json(json.loads(text))
-    if isinstance(ctx, Rationals):
-        try:
-            return Fraction(text)
-        except ZeroDivisionError:
-            raise CliError("bad-elem", f"zero denominator in {text!r}") from None
-    return ctx.coerce(int(text))
+        return ctx.elem_from_json(_shallow("bad-elem", "the element", json.loads, text))
+    try:
+        return Fraction(text) if isinstance(ctx, Rationals) else ctx.coerce(int(text))
+    except ZeroDivisionError:
+        raise CliError("bad-elem", f"zero denominator in {text!r}") from None
+    except ValueError:
+        raise CliError("bad-elem", f"cannot parse element {text!r}") from None
 
 
 def parse_point(ctx, text: str):
@@ -216,7 +225,7 @@ def load_curve(args, F):
     if text.endswith(".json"):
         try:
             with open(text) as fh:
-                obj = json.load(fh)
+                obj = _shallow("bad-curve", f"curve {text!r}", json.load, fh)
             spec, g, coeffs = obj["field"], obj["g"], obj["f"]
             if not isinstance(spec, dict):
                 raise CliError("bad-curve", f"cannot read curve {text!r}: "
@@ -377,15 +386,14 @@ def cmd_hyperelliptic(args):
 
 
 def cmd_census(args):
-    F = parse_field(f"GF:{args.p},{args.m}" if args.m != 1 else f"GF:{args.p}",
-                    args.seed)
+    F = parse_field(f"GF:{args.p},{args.m}", args.seed)
     F, C = load_curve(args, F)
     if F.is_finite and F.order > MAX_CENSUS_ORDER:
         raise CliError("bad-args", f"a census enumerates the field; {F.order} "
                        f"elements exceed {MAX_CENSUS_ORDER}")
     found = torsion_census(C, args.n)
     return {"n": args.n, "count": len(found),
-            "points": [P.to_json(F) for P, _ in found]}, "torsion-census"
+            "points": [P.to_json(F) for P in found]}, "torsion-census"
 
 
 def cmd_weil(args):

@@ -6,19 +6,20 @@ the factors are scaled products of (x - eta(eps)) over a g-element subset of
 the nontrivial n-th roots of unity; when n = p^k(2l+1) in characteristic p
 the multiplicities follow an admissible exponent function on M(2l+1).  The
 free scalar mu is pinned down by a squarefreeness scan, and the rational
-genus-52 construction follows the cyclotomic subset-sum route.
+genus-52 construction splits the factors Psi_d (1 < d | n) by totient sums.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 from .fields import (FieldError, InsufficientFieldError, Rationals, memo,
                      nth_roots_of_unity)
 from .jacobian import CurveError, involution
-from .numth import hyperelliptic_cert
-from .polyring import Poly, cyclotomic, reverse_scale
+from .numth import divisors, hyperelliptic_cert
+from .polyring import Poly
 from .torsion import CertError, PairCert, make_pair
 
 
@@ -250,34 +251,56 @@ def find_good_mu(F, g, template):
         extension_degree=2)
 
 
+def _zz_divmod_exact(a, b):
+    """Exact quotient of integer polynomials, ascending coefficients."""
+    r, db = list(a), len(b) - 1
+    q = [0] * (len(a) - db)
+    for i in range(len(a) - 1, db - 1, -1):
+        if r[i] % b[-1]:
+            raise ValueError("integer polynomial division is not exact")
+        q[i - db] = factor = r[i] // b[-1]
+        for j in range(db + 1):
+            r[i - db + j] -= factor * b[j]
+    if any(r):
+        raise ValueError("integer polynomial division leaves a remainder")
+    return q
+
+
+def _psi_factors(n):
+    """{d: Psi_d(x) = x^phi(d) Phi_d(1 + 1/x)} over the divisors d > 1 of n, as
+    integer lists: (x+1)^d - x^d is the product of the Psi_e, 1 < e | d."""
+    psi = {}
+    for d in divisors(n)[1:]:
+        q = [math.comb(d, k) for k in range(d)]   # (x+1)^d - x^d
+        for e, psi_e in psi.items():
+            if d % e == 0:
+                q = _zz_divmod_exact(q, psi_e)
+        psi[d] = q
+    return psi
+
+
 def rational_four_torsion(g):
     """A genus-g curve over Q with four rational points of order 2g+1.
 
-    Requires 2g+1 to be a hyperelliptic number; the totient certificate
-    splits the cyclotomic product (x^n - 1)/(x - 1) into two degree-g
-    factors, which after x -> x+1 and coefficient reversal give the u1, u2
-    of a marked-pair certificate at abscissas 0 and -1.
-    """
+    Requires n = 2g+1 to be a hyperelliptic number; u1, u2, the products of
+    the Psi_d over the two sets of the totient certificate, multiply to
+    (x+1)^n - x^n: a marked-pair certificate at abscissas 0 and -1."""
     n = 2 * g + 1
     partition = hyperelliptic_cert(n)
     if partition is None:
         raise ValueError(f"2g+1 = {n} is not a hyperelliptic number")
     F = Rationals()
-    w1 = Poly.const(F, F.one)
-    for d in partition.S1:
-        w1 = w1 * cyclotomic(d, F)
-    w2 = Poly.const(F, F.one)
-    for d in partition.S2:
-        w2 = w2 * cyclotomic(d, F)
-    if w1.degree != g or w2.degree != g:
-        raise ValueError(f"partition factors have degrees {w1.degree}, "
-                         f"{w2.degree}; expected g = {g}")
-    u1 = reverse_scale(w1.shift(F.one), F.one)
-    u2 = reverse_scale(w2.shift(F.one), F.one)
+    psi = _psi_factors(n)
+    u1, u2 = (math.prod((Poly.from_ints(F, psi[d]) for d in S),
+                        start=Poly.const(F, F.one))
+              for S in (partition.S1, partition.S2))
+    # the mu scan over Q is unbounded, so a wrong degree must stop here
+    if u1.degree != g or u2.degree != g:
+        raise ValueError(f"partition factors have degrees {u1.degree}, "
+                         f"{u2.degree}; expected g = {g}")
     mu, cert, enh = find_good_mu(F, g, _FixedPair(u1, u2))
     P, Q = enh.P, enh.Q
-    points = [P, involution(P, F), Q, involution(Q, F)]
-    return enh.C, points, cert, mu
+    return enh.C, [P, involution(P, F), Q, involution(Q, F)], cert, mu
 
 
 @dataclass(frozen=True)

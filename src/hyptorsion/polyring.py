@@ -9,7 +9,7 @@ the field alone decides which arithmetic backs its polynomials.
 
 from __future__ import annotations
 
-from .fields import Field, Rationals
+from .fields import Field
 
 
 class Poly:
@@ -154,15 +154,6 @@ class Poly:
     def __call__(self, x0):
         return self.ctx.poly_eval(self.coeffs, x0)
 
-    def shift(self, c):
-        """Substitute x -> x + c (Horner on the shifted variable)."""
-        ctx = self.ctx
-        result = Poly.zero(ctx)
-        xc = Poly(ctx, [c, ctx.one])
-        for coeff in reversed(self.coeffs):
-            result = result * xc + Poly.const(ctx, coeff)
-        return result
-
     # -- serialization -----------------------------------------------------
 
     def to_json(self):
@@ -223,66 +214,6 @@ def poly_sqrt(h: Poly):
     if ctx.canonical_min(root.leading) != root.leading:
         root = -root
     return root
-
-
-def reverse_scale(w: Poly, a) -> Poly:
-    """The unique reciprocal transform wt with wt(a/x) = w(x)/x^deg(w)."""
-    ctx = w.ctx
-    if a == ctx.zero:
-        raise ValueError("reverse_scale requires a nonzero scalar")
-    if w.is_zero or w.coeffs[0] == ctx.zero:
-        raise ValueError("reverse_scale requires a nonzero constant term")
-    g = w.degree
-    out = []
-    apow = ctx.one
-    for j in range(g + 1):
-        out.append(ctx.div(w.coeffs[g - j], apow))
-        apow = ctx.mul(apow, a)
-    return Poly(ctx, out)
-
-
-_CYCLO_CACHE: dict[int, tuple[int, ...]] = {}
-
-
-def _zz_divmod_exact(a, b):
-    """Exact division of integer polynomials with monic-leading divisor."""
-    r = list(a)
-    db = len(b) - 1
-    q = [0] * (len(a) - db)
-    for i in range(len(a) - 1, db - 1, -1):
-        c = r[i]
-        if c == 0:
-            continue
-        if c % b[-1]:
-            raise ValueError("integer polynomial division is not exact")
-        factor = c // b[-1]
-        q[i - db] = factor
-        for j in range(db + 1):
-            r[i - db + j] -= factor * b[j]
-    if any(r):
-        raise ValueError("integer polynomial division leaves a remainder")
-    return q
-
-
-def _cyclotomic_ints(n):
-    if n in _CYCLO_CACHE:
-        return _CYCLO_CACHE[n]
-    poly = [-1] + [0] * (n - 1) + [1]  # x^n - 1
-    for d in range(1, n):
-        if n % d == 0:
-            poly = _zz_divmod_exact(poly, list(_cyclotomic_ints(d)))
-    result = tuple(poly)
-    _CYCLO_CACHE[n] = result
-    return result
-
-
-def cyclotomic(n, ctx=None) -> Poly:
-    """The n-th cyclotomic polynomial over Q (degree phi(n))."""
-    if n < 1:
-        raise ValueError("n must be positive")
-    if ctx is None:
-        ctx = Rationals()
-    return Poly.from_ints(ctx, _cyclotomic_ints(n))
 
 
 def diff_power(ctx, a1, a2, n) -> Poly:

@@ -179,7 +179,7 @@ def recover_pair(C: Curve, P: AffinePoint, Q: AffinePoint) -> PairCert:
 
 
 def torsion_census(C: Curve, n: int):
-    """All affine points of exact order n, with orders, sorted canonically.
+    """All affine points of exact order n, sorted canonically.
 
     Exhaustive over the base field; Q contexts are rejected as unenumerable.
     A point's order divides #J(GF(q)) <= (sqrt(q) + 1)^(2g), so an n above
@@ -193,8 +193,7 @@ def torsion_census(C: Curve, n: int):
     found = []
     for x0 in ctx.elements():
         for pt in points_with_x(C, x0):
-            order = exact_order(C, embed(C, pt), n)
-            if order == n:
-                found.append((pt, order))
-    found.sort(key=lambda po: (ctx.to_index(po[0].x), ctx.to_index(po[0].y)))
+            if exact_order(C, embed(C, pt), n) == n:
+                found.append(pt)
+    found.sort(key=lambda pt: (ctx.to_index(pt.x), ctx.to_index(pt.y)))
     return found

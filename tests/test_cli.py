@@ -780,6 +780,53 @@ def test_hyperelliptic_n_subset_bound(capsys, monkeypatch):
     assert code == 1 and out["code"] == "bad-args"
 
 
+# -- input that nests too deeply, and malformed elements ----------------------
+# parse_poly recurses once per parenthesis and json once per bracket; each
+# parse boundary refuses what exhausts the stack with its own error code.
+
+DEEP_POLY = "(" * 300 + "x" + ")" * 300
+DEEP_JSON = "[" * 5000 + "]" * 5000
+GF11_VERIFY = ["verify", "--field", "GF:11", "--g", "2"]
+
+
+@pytest.mark.parametrize("argv, error", [
+    pytest.param(GF11_VERIFY + ["--curve", DEEP_POLY, "--point", "(0,1)"],
+                 "bad-poly", id="curve-text"),
+    pytest.param(GF11_VERIFY + ["--curve", DEEP_JSON, "--point", "(0,1)"],
+                 "bad-poly", id="curve-json"),
+    pytest.param(GF11_VERIFY + ["--curve", "x^5+1", "--point", f"({DEEP_JSON},1)"],
+                 "bad-elem", id="point"),
+    pytest.param(["verify", "--curve", "deep.json", "--point", "(0,1)"],
+                 "bad-curve", id="curve-file"),
+    pytest.param(["construct-single", "--field", "GF:5", "--g", "2",
+                  "--a", DEEP_JSON, "--v", "x+1"], "bad-elem", id="a"),
+    pytest.param(["construct-single", "--field", "GF:5", "--g", "2",
+                  "--a", "0", "--v", DEEP_POLY], "bad-poly", id="v-text"),
+    pytest.param(["construct-single", "--field", "GF:5", "--g", "2",
+                  "--a", "0", "--v", DEEP_JSON], "bad-poly", id="v-json"),
+    pytest.param(["weil", "--field", "GF:11", "--g", "2", "--I", "0,1",
+                  "--mu", DEEP_JSON], "bad-elem", id="mu")])
+def test_deep_nesting_is_refused_where_it_is_parsed(capsys, tmp_path, monkeypatch,
+                                                    argv, error):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "deep.json").write_text(
+        f'{{"field": {DEEP_JSON}, "g": 2, "f": [1, 0, 0, 0, 0, 1]}}')
+    code, out = run(capsys, argv)
+    assert (code, out["status"], out["code"]) == (1, "error", error), out
+    assert out["message"].endswith("nests too deeply")
+
+
+@pytest.mark.parametrize("argv", [
+    GF11_VERIFY + ["--curve", "x^5+1", "--point", "(0,1/2)"],
+    ["weil", "--field", "GF:11", "--g", "2", "--I", "0,1", "--mu", "1/2"],
+    ["construct-single", "--field", "GF:3,2", "--g", "1", "--a", "0.5",
+     "--v", "x"],
+    ["construct-single", "--field", "Q", "--g", "2", "--a", "1/2/3", "--v", "x+1"]])
+def test_malformed_element_is_bad_elem(capsys, argv):
+    code, out = run(capsys, argv)
+    assert (code, out["code"]) == (1, "bad-elem"), out
+
+
 # -- success payloads of construct-pair, weil --mu and rational-g52 -----------
 
 def test_construct_pair_payload(capsys):

@@ -91,6 +91,8 @@ CALLS = [
     ["find-mu", "--field", "GF:11", "--g", "2", "--index", "1"],
     ["rational-g52"],
     ["rational-g52", "--g", "82"],
+    ["rational-g52", "--g", "262"],
+    ["rational-g52", "--g", "292"],
     ["hyperelliptic", "--n", "105"],
     ["hyperelliptic", "--max", "201"],
     ["census", "--p", "5", "--g", "2", "--curve", "x^5+(x+1)^2", "--n", "5"],
@@ -147,6 +149,11 @@ ERRORS = [
     ["weil", "--field", "GF:11", "--g", "2", "--I", "1,0"],
     ["weil", "--field", "GF:11", "--g", "2", "--I", "0,1", "--mu", "0"],
     ["weil", "--field", "GF:311", "--g", "100000", "--I", "0"],
+    ["verify", "--field", "GF:11", "--g", "2", "--curve", "(" * 300 + "x" + ")" * 300,
+     "--point", "(0,1)"],
+    ["construct-single", "--field", "GF:5", "--g", "2", "--a", "[" * 5000 + "]" * 5000,
+     "--v", "x+1"],
+    ["verify", "--field", "GF:11", "--g", "2", "--curve", "x^5+1", "--point", "(0,1/2)"],
 ]
 
 # one round of each benchmark workload at seed 1, in perfbench's order

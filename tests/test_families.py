@@ -147,9 +147,9 @@ class TestRationalFamilies:
     def test_degree_check_survives_optimize(self, run_optimized):
         out = run_optimized("""
             from hyptorsion import families
-            from hyptorsion.polyring import Poly
-            cyclotomic = families.cyclotomic
-            families.cyclotomic = lambda d, F: Poly.x(F) * cyclotomic(d, F)
+            psi_factors = families._psi_factors
+            families._psi_factors = lambda n: {   # each Psi_d times x
+                d: [0] + psi for d, psi in psi_factors(n).items()}
 
             def scan(*args):
                 raise RuntimeError("the mu scan was reached")

@@ -1,3 +1,5 @@
+import cmath
+import math
 import random
 import signal
 from fractions import Fraction
@@ -8,8 +10,7 @@ from hypothesis import strategies as st
 
 from hyptorsion import fields
 from hyptorsion.fields import ExtField, Field, PrimeField, Rationals
-from hyptorsion.polyring import (Poly, cyclotomic, diff_power, is_squarefree,
-                                 poly_sqrt, reverse_scale)
+from hyptorsion.polyring import Poly, diff_power, is_squarefree, poly_sqrt
 
 F11 = PrimeField(11)
 QQ = Rationals()
@@ -80,12 +81,6 @@ class TestRing:
     def test_derivative_product_rule(self, a, b):
         assert (a * b).derivative() == a.derivative() * b + a * b.derivative()
 
-    @given(gf11_polys, st.integers(0, 10))
-    @settings(max_examples=40)
-    def test_shift_scale_eval(self, a, c):
-        x0 = 7
-        assert a.shift(c)(x0) == a((x0 + c) % 11)
-
 
 class TestSqrt:
     @given(gf11_polys)
@@ -129,9 +124,9 @@ class TestSquarefree:
 
     def test_large_rational(self):
         # modular fast-accept path
-        f = cyclotomic(105) * cyclotomic(5)
+        f = diff_power(QQ, 0, -1, 105)             # (x+1)^105 - x^105
         assert is_squarefree(f)
-        assert not is_squarefree(f * cyclotomic(5))
+        assert not is_squarefree(f * diff_power(QQ, 0, -1, 5))
 
     def test_criterion_6_curve_needs_no_prs(self, monkeypatch):
         # Rationals.poly_gcd settles a gcd of 1 by modular images, so the
@@ -145,32 +140,6 @@ class TestSquarefree:
 
         monkeypatch.setattr(fields, "_zz_prem", prem)
         assert C.f.degree == 105 and is_squarefree(C.f)
-
-
-class TestReverseScale:
-    def test_example(self):
-        w = Poly(QQ, [Fraction(1), Fraction(2)])  # 2x + 1
-        assert reverse_scale(w, Fraction(1)) == Poly(QQ, [Fraction(2), Fraction(1)])
-
-    @given(q_polys, st.integers(1, 5))
-    @settings(max_examples=30)
-    def test_defining_identity(self, w, a_int):
-        a = Fraction(a_int)
-        if w.is_zero or w(QQ.zero) == 0:
-            with pytest.raises(ValueError):
-                reverse_scale(w, a)
-            return
-        wt = reverse_scale(w, a)
-        g = w.degree
-        # wt(a/x) = w(x)/x^g at sample points
-        for x0 in (Fraction(1), Fraction(2), Fraction(-3), Fraction(5, 2)):
-            assert wt(a / x0) == w(x0) / x0 ** g
-        assert wt.degree == g and wt(QQ.zero) != 0
-
-    def test_zero_scalar_rejected(self):
-        w = Poly(QQ, [Fraction(1), Fraction(1)])
-        with pytest.raises(ValueError):
-            reverse_scale(w, Fraction(0))
 
 
 class TestPow:
@@ -196,23 +165,37 @@ class TestPow:
 
 
 class TestCyclotomic:
+    """Psi_d(x) = x^phi(d) Phi_d(1 + 1/x), the factors of (x+1)^n - x^n that
+    the rational construction splits."""
+
     def test_product_identity(self):
-        from hyptorsion.numth import divisors
-        for n in (1, 2, 6, 12, 15):
-            x = Poly.x(QQ)
-            prod = Poly.const(QQ, Fraction(1))
-            for d in divisors(n):
-                prod = prod * cyclotomic(d)
-            assert prod == x ** n - Poly.const(QQ, Fraction(1))
+        from hyptorsion.families import _psi_factors
+        from hyptorsion.numth import divisors, totient
+        for n in (3, 15, 105, 165, 585):
+            psi = _psi_factors(n)
+            assert sorted(psi) == divisors(n)[1:]
+            prod = Poly.const(QQ, QQ.one)
+            for d, coeffs in psi.items():
+                assert len(coeffs) - 1 == totient(d), (n, d)
+                prod = prod * Poly.from_ints(QQ, coeffs)
+            assert prod == diff_power(QQ, 0, -1, n), n
+        # apart from the divisions: Psi_d vanishes at 1/(eps - 1) for each
+        # primitive d-th root of unity eps
+        for d, coeffs in _psi_factors(15).items():
+            for k in range(1, d):
+                if math.gcd(k, d) == 1:
+                    eta = 1 / (cmath.exp(2j * cmath.pi * k / d) - 1)
+                    assert abs(sum(c * eta ** i for i, c in enumerate(coeffs))) < 1e-6
 
     def test_degrees(self):
+        from hyptorsion.families import _psi_factors
         from hyptorsion.numth import totient
         for n in (3, 5, 7, 105, 165):
-            assert cyclotomic(n).degree == totient(n)
+            assert len(_psi_factors(n)[n]) - 1 == totient(n), n
 
     def test_exact_division_checks_survive_optimize(self, run_optimized):
         out = run_optimized("""
-            from hyptorsion.polyring import _zz_divmod_exact
+            from hyptorsion.families import _zz_divmod_exact
             for a, b in (([0, 3], [1, 2]), ([1, 0, 1], [1, 1])):
                 try:
                     print(_zz_divmod_exact(a, b))
