@@ -119,9 +119,12 @@ def _tokenize(s):
 
 
 def _shallow(code, what, parse, *args):
-    """parse(*args), refusing as `code` input nested too deeply to parse."""
+    """parse(*args), refusing as `code` malformed JSON and input nested too
+    deeply to parse."""
     try:
         return parse(*args)
+    except json.JSONDecodeError as exc:
+        raise CliError(code, f"{what} is not valid JSON: {exc}") from None
     except RecursionError:
         raise CliError(code, f"{what} nests too deeply") from None
 
@@ -452,16 +455,20 @@ COMMANDS = ("construct-single", "verify", "construct-pair", "enumerate-families"
 
 
 def build_parser(command=None):
-    """The parser.  Only the subcommand `command` names gets its options, or
-    every one when it names none; each keeps its help and func, so top-level
-    help and usage errors read the same."""
-    ap = _ArgumentParser(prog="hyptorsion", description=__doc__)
+    """The parser.  Only the subcommand `command` names gets its options and
+    -h, or every one when it names none; each keeps its help and func, so
+    top-level help and usage errors read the same."""
+    ap = _ArgumentParser(prog="hyptorsion", description=(
+        "Hyperelliptic curves with torsion points of order 2g+1: certificates, "
+        "censuses and the Weil pairing.  Every command prints one JSON object "
+        "and exits 0 on success, 1 on error."))
     sub = ap.add_subparsers(dest="command", required=True)
 
     def add(name, help_text, func):
-        p = sub.add_parser(name, help=help_text)
+        named = command == name or command not in COMMANDS
+        p = sub.add_parser(name, help=help_text, add_help=named)
         p.set_defaults(func=func)
-        return p if command == name or command not in COMMANDS else None
+        return p if named else None
 
     def common(p, field=True, g=False):
         if field:

@@ -4,13 +4,15 @@
 that an in-process `cli.main(argv)` prints and the exit code it returns (the
 SystemExit code of --help), run in an empty directory with COLUMNS=80.  The
 test replays every argv.  After a change that means to alter an output,
-rewrite the file and name every argv whose digest moved:
+rewrite the file with the command below, which first prints each argv whose
+digest moved, was added or was dropped, and name each in the change's notes:
 
     PYTHONPATH=src python tests/test_cli_digests.py
 
 argparse words help and usage errors differently across Python versions, so
 the file records the version that wrote it and the test runs only on that
-version.  `selftest` is left out, as it prints timings.
+version.  `selftest` is left out, as it prints timings.  The directory holds
+the files of FILES, which some argvs read.
 """
 
 import contextlib
@@ -28,6 +30,7 @@ from hyptorsion import cli
 
 DIGESTS = Path(__file__).with_name("cli_digests.json")
 PYTHON = "%d.%d" % sys.version_info[:2]
+FILES = {"truncated.json": '{"field": {"kind": "GF", "p": 11}, "g"'}
 
 HELP = [
     ["-h"],
@@ -154,6 +157,11 @@ ERRORS = [
     ["construct-single", "--field", "GF:5", "--g", "2", "--a", "[" * 5000 + "]" * 5000,
      "--v", "x+1"],
     ["verify", "--field", "GF:11", "--g", "2", "--curve", "x^5+1", "--point", "(0,1/2)"],
+    ["construct-single", "--field", "GF:5", "--g", "2", "--a", "[1,", "--v", "x+1"],
+    ["verify", "--field", "GF:11", "--g", "2", "--curve", "[1,0,0,0,0",
+     "--point", "(0,1)"],
+    ["verify", "--field", "GF:11", "--g", "2", "--curve", "x^5+1", "--point", "([1,,1)"],
+    ["verify", "--curve", "truncated.json", "--point", "(0,1)"],
 ]
 
 # one round of each benchmark workload at seed 1, in perfbench's order
@@ -330,6 +338,11 @@ PAIRING_ROUND = [
 ARGVS = HELP + USAGE + CALLS + ERRORS + CENSUS_ROUND + PAIRING_ROUND
 
 
+def write_files(directory):
+    for name, text in FILES.items():
+        (directory / name).write_text(text)
+
+
 def digest(argv):
     """(sha256 of the stdout, exit code) of cli.main(argv)."""
     out = io.StringIO()
@@ -349,6 +362,7 @@ def test_cli_stdout_matches_the_pinned_digests(monkeypatch, tmp_path):
         "ARGVS changed: rewrite cli_digests.json"
     monkeypatch.setenv("COLUMNS", "80")
     monkeypatch.chdir(tmp_path)
+    write_files(tmp_path)
     moved = [argv for argv, sha, code in pinned["digests"]
              if digest(argv) != (sha, code)]
     assert moved == []
@@ -357,9 +371,23 @@ def test_cli_stdout_matches_the_pinned_digests(monkeypatch, tmp_path):
 def main():
     os.environ["COLUMNS"] = "80"
     with tempfile.TemporaryDirectory() as tmp, contextlib.chdir(tmp):
-        rows = [json.dumps([argv, *digest(argv)]) for argv in ARGVS]
+        write_files(Path(tmp))
+        rows = [[argv, *digest(argv)] for argv in ARGVS]
+    old = {}
+    if DIGESTS.exists():
+        old = {json.dumps(argv): (sha, code)
+               for argv, sha, code in json.loads(DIGESTS.read_text())["digests"]}
+    new = {json.dumps(argv): (sha, code) for argv, sha, code in rows}
+    for key, pinned in new.items():
+        if key not in old:
+            print("added", key)
+        elif pinned != old[key]:
+            print("moved", key)
+    for key in old:
+        if key not in new:
+            print("dropped", key)
     DIGESTS.write_text(f'{{"python": "{PYTHON}", "digests": [\n'
-                       + ",\n".join(rows) + "\n]}\n")
+                       + ",\n".join(json.dumps(row) for row in rows) + "\n]}\n")
 
 
 if __name__ == "__main__":

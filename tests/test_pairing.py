@@ -1,5 +1,7 @@
+import collections
 import copy
 import os
+import random
 import subprocess
 import sys
 import textwrap
@@ -172,3 +174,84 @@ class TestWIndependence:
             "CertError e is not a square root of e2",
             "CertError degenerate pairing numerator",
         ]
+
+
+# -- the generic-root block: two checks decide what four did ----------------
+
+VANISHES = "(1+w)^{2g+1} or v2(w) vanishes at a root of f"
+FAILS_MOD_F = "v2(w)^2 = -(1+w)^{2g+1} fails mod f"
+
+
+def _four_check_weil(F, g, cert):
+    """weil_explicit with the four generic-root checks it once made: also
+    gcd(v2, f) = 1, and -e2 v2^2 / (1+x)^{2g+1} = e2 mod f through the
+    xgcd inverse."""
+    n = 2 * g + 1
+    v1, v2 = cert.v_polys()
+    m1 = F.neg(F.one)
+    num_p = F.sub(v2(m1), v1(m1))
+    num_q = F.sub(v1(F.zero), v2(F.zero))
+    if num_p == F.zero or num_q == F.zero:
+        raise CertError("degenerate pairing numerator")
+    e2 = F.div(F.mul(num_p, num_p), F.mul(num_q, num_q))
+    e = F.pow_el(e2, g + 1)
+    if F.mul(e, e) != e2:
+        raise CertError("e is not a square root of e2")
+    f = cert.curve_poly()
+    pw = Poly(F, [F.one, F.one]) ** n % f
+    unit, pw_inv, _ = pw.xgcd(f)
+    if unit.degree != 0 or v2.gcd(f).degree != 0:
+        raise CertError(VANISHES)
+    v2_sq = v2 * v2
+    if not ((v2_sq + pw) % f).is_zero:
+        raise CertError(FAILS_MOD_F)
+    if (v2_sq * pw_inv).scale(F.neg(e2)) % f != Poly.const(F, e2):
+        raise CertError("pairing value depends on W")
+    return e
+
+
+def _outcome(weil, F, g, cert):
+    try:
+        return "ok", weil(F, g, cert)
+    except CertError as exc:
+        return "refused", str(exc)
+
+
+def test_two_generic_root_checks_decide_as_the_four_did():
+    # Certificates from the coprime templates at random mu (f need not be
+    # squarefree: PairCert does not ask it), each with two copies whose u2
+    # has one coefficient moved by 1, past PairCert.__post_init__.
+    rng = random.Random(0)
+    seen = collections.Counter()
+    for F, g in ((F11, 2), (PrimeField(29), 3), (ExtField(29, 2), 2),
+                 (ExtField(29, 2), 3), (ExtField(11, 3), 2), (ExtField(11, 3), 3)):
+        certs = []
+        for t in nice_pairs_coprime(F, g):
+            for mu in rng.sample(range(1, F.order), 8):
+                u1, u2 = t.u_pair(F, F.from_index(mu))
+                try:
+                    certs.append(PairCert(g, F.zero, F.neg(F.one), u1, u2))
+                except CertError:
+                    pass
+        for cert in rng.sample(certs, min(40, len(certs))):
+            cases = [cert]
+            for _ in range(2):
+                coeffs = list(cert.u2.coeffs)
+                i = rng.randrange(len(coeffs))
+                coeffs[i] = F.add(coeffs[i], F.one)
+                bad = copy.copy(cert)
+                object.__setattr__(bad, "u2", Poly(F, coeffs))
+                cases.append(bad)
+            for case in cases:
+                old = _outcome(_four_check_weil, F, g, case)
+                new = _outcome(weil_explicit, F, g, case)
+                assert old[0] == new[0], (F, g, case, old, new)
+                assert old == new or (old[1], new[1]) == (VANISHES, FAILS_MOD_F)
+                seen[case is cert, old[1] if old[0] == "refused" else "ok",
+                     new[1] if new[0] == "refused" else "ok"] += 1
+    valid = seen.pop((True, "ok", "ok"))
+    assert valid >= 200 and sum(seen.values()) >= 400
+    assert not any(is_valid for is_valid, _, _ in seen), seen
+    # the block itself refuses some, and some of those only gcd(v2, f) caught
+    assert seen[False, VANISHES, VANISHES] and seen[False, FAILS_MOD_F, FAILS_MOD_F]
+    assert seen[False, VANISHES, FAILS_MOD_F], seen
