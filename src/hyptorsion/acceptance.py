@@ -14,7 +14,7 @@ import sys
 import time
 
 from .families import (char_templates, find_good_mu, nice_pairs_coprime,
-                       rational_four_torsion, symmetry_classes)
+                       rational_four_torsion, symmetry_classes, u_pair)
 from .fields import ExtField, PrimeField, Rationals
 from .jacobian import (Curve, CurveError, cantor_add, embed, exact_order,
                        identity, neg, points_with_x)
@@ -105,7 +105,7 @@ def criterion_3_coprime_families():
     if len(templates) != 6 or len(classes) != 3:
         return False, f"{len(templates)} templates / {len(classes)} classes"
     for cls in classes:
-        mu, cert, enh = find_good_mu(F, 2, cls[0])
+        mu, cert, enh = find_good_mu(F, 2, cls[0].factors(F))
         for pt in (enh.P, enh.Q):
             if exact_order(enh.C, embed(enh.C, pt), 5) != 5:
                 return False, f"oracle order != 5 for I={cls[0].I}"
@@ -120,7 +120,7 @@ def criterion_4_char_regime():
     if len(templates) != 6:
         return False, f"{len(templates)} templates, expected 6"
     for t in templates:
-        mu, cert, enh = find_good_mu(F, t.g, t)
+        mu, cert, enh = find_good_mu(F, t.g, t.factors(F))
         for pt in (enh.P, enh.Q):
             if exact_order(enh.C, embed(enh.C, pt), 15) != 15:
                 return False, f"oracle order != 15 for upsilon={t.ups.values}"
@@ -170,7 +170,7 @@ def criterion_7_pairing():
     trivial = []
     count = 0
     for F, g, t, fname in _pairing_families():
-        mu, cert, enh = find_good_mu(F, g, t)
+        mu, cert, enh = find_good_mu(F, g, t.factors(F))
         # raises CertError unless e^{2g+1} = 1 and the value is W-independent
         e = weil_explicit(F, g, cert)
         if e != weil_closed(F, g, t.I):
@@ -219,8 +219,7 @@ def _property_roundtrip(rng):
         t = templates[rng.randrange(len(templates))]
         mu = F.from_index(rng.randrange(1, F.order))
         try:
-            u1, u2 = t.u_pair(F, mu)
-            cert = PairCert(g, F.zero, F.neg(F.one), u1, u2)
+            cert = PairCert(g, F.zero, F.neg(F.one), *u_pair(F, t.factors(F), mu))
             enh = make_pair(F, g, cert)
         except (CertError, CurveError):
             continue

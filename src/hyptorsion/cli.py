@@ -353,7 +353,7 @@ def cmd_find_mu(args):
         have = len(head) + sum(1 for _ in templates)
         raise CliError("bad-args", f"--index out of range (have {have})")
     t = head[-1]
-    mu, cert, enh = find_good_mu(F, args.g, t)
+    mu, cert, enh = find_good_mu(F, args.g, t.factors(F))
     return {"family": t.to_json(mu=mu, F=F), "curve": enh.C.to_json(),
             "P": enh.P.to_json(F), "Q": enh.Q.to_json(F)}, "good-mu-scan"
 
@@ -400,7 +400,8 @@ def cmd_census(args):
 
 
 def cmd_weil(args):
-    from .families import CoprimeTemplate, find_good_mu, nice_pairs_coprime
+    from .families import (CoprimeTemplate, find_good_mu, nice_pairs_coprime,
+                           u_pair)
     from .pairing import weil_closed, weil_explicit, weil_result_json
     F = parse_field(args.field, args.seed)
     _check_genus(args.g)
@@ -412,15 +413,14 @@ def cmd_weil(args):
     labels = next(nice_pairs_coprime(F, args.g)).labels
     if len(I) != args.g or list(I) != sorted(set(I) & set(range(2 * args.g))):
         raise CliError("bad-args", f"no coprime template with I = {I}")
-    t = CoprimeTemplate(args.g, labels, I)
+    factors = CoprimeTemplate(args.g, labels, I).factors(F)
     if args.mu is not None:
         mu = parse_elem(F, args.mu)
         if mu == F.zero:
             raise CliError("bad-args", "--mu must be nonzero")
-        u1, u2 = t.u_pair(F, mu)
-        cert = PairCert(args.g, F.zero, F.neg(F.one), u1, u2)
+        cert = PairCert(args.g, F.zero, F.neg(F.one), *u_pair(F, factors, mu))
     else:
-        mu, cert, _ = find_good_mu(F, args.g, t)
+        mu, cert, _ = find_good_mu(F, args.g, factors)
     explicit = weil_explicit(F, args.g, cert)
     closed = weil_closed(F, args.g, I)
     payload = weil_result_json(F, I, explicit, closed)

@@ -1,12 +1,14 @@
 """Parameterized families of enhanced curves with marked abscissas 0 and -1.
 
 Normalized curves with two marked points of order n = 2g+1 come from
-factorizations u1*u2 = (x+1)^n - x^n.  When the characteristic is prime to n
-the factors are scaled products of (x - eta(eps)) over a g-element subset of
-the nontrivial n-th roots of unity; when n = p^k(2l+1) in characteristic p
-the multiplicities follow an admissible exponent function on M(2l+1).  The
-free scalar mu is pinned down by a squarefreeness scan, and the rational
-genus-52 construction splits the factors Psi_d (1 < d | n) by totient sums.
+factorizations u1*u2 = (x+1)^n - x^n: (u1, u2) = (mu*A, B/mu) for a
+template's factor pair (A, B).  When the characteristic is prime to n, A is
+the product of (x - eta(eps)) over a g-element subset of the nontrivial n-th
+roots of unity and B is n times the product over the rest; when
+n = p^k(2l+1) in characteristic p the multiplicities follow an admissible
+exponent function on M(2l+1).  The free scalar mu is pinned down by a
+squarefreeness scan, and the rational genus-52 construction splits the
+Psi_d (1 < d | n) by totient sums.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from .fields import (FieldError, InsufficientFieldError, Rationals, memo,
                      nth_roots_of_unity)
 from .jacobian import CurveError, involution
 from .numth import divisors, hyperelliptic_cert
-from .polyring import Poly
+from .polyring import Poly, diff_power
 from .torsion import CertError, PairCert, make_pair
 
 
@@ -43,32 +45,26 @@ def eta_roots(F, n):
 
 @memo
 def _eta_labels(F, n):
-    labels = []
-    for eps in nth_roots_of_unity(F, n):
-        eta = F.inv(F.sub(eps, F.one))
-        labels.append(RootLabel(eps, eta))
-    prod = Poly.const(F, F.coerce(n))
-    for lab in labels:
-        prod = prod * Poly(F, [F.neg(lab.eta), F.one])
-    x1 = Poly(F, [F.one, F.one])
-    x = Poly.x(F)
-    if prod != x1 ** n - x ** n:
+    labels = [RootLabel(eps, F.inv(F.sub(eps, F.one)))
+              for eps in nth_roots_of_unity(F, n)]
+    if (_linear_product(F, labels, [1] * len(labels), n)
+            != diff_power(F, F.zero, F.neg(F.one), n)):
         raise FieldError("eta product identity failed; roots are inconsistent")
     return tuple(labels)
 
 
-def _linear_product(F, labels, indices, multiplicity=None):
-    prod = Poly.const(F, F.one)
-    for i in indices:
-        factor = Poly(F, [F.neg(labels[i].eta), F.one])
-        e = multiplicity[i] if multiplicity is not None else 1
-        prod = prod * factor ** e
+def _linear_product(F, labels, multiplicity, c=1):
+    """c * prod (x - eta)^m over the labels, m the label's multiplicity."""
+    prod = Poly.const(F, F.coerce(c))
+    for lab, e in zip(labels, multiplicity):
+        if e:
+            prod = prod * Poly(F, [F.neg(lab.eta), F.one]) ** e
     return prod
 
 
 @dataclass(frozen=True)
 class CoprimeTemplate:
-    """u1 = mu * H_I, u2 = ((2g+1)/mu) * H_complement(I), |I| = g."""
+    """Pair (H_I, (2g+1) * H_complement(I)), H_S = prod of x - eta over S."""
 
     g: int
     labels: tuple
@@ -83,12 +79,11 @@ class CoprimeTemplate:
         """Symmetry-class representative: {I, complement} as an unordered pair."""
         return frozenset((self.I, self.complement))
 
-    def u_pair(self, F, mu):
-        n = 2 * self.g + 1
-        u1 = _linear_product(F, self.labels, self.I).scale(mu)
-        u2 = _linear_product(F, self.labels, self.complement).scale(
-            F.div(F.coerce(n), mu))
-        return u1, u2
+    def factors(self, F):
+        in_I = [int(i in self.I) for i in range(len(self.labels))]
+        return (_linear_product(F, self.labels, in_I),
+                _linear_product(F, self.labels, [1 - m for m in in_I],
+                                2 * self.g + 1))
 
     def to_json(self, mu=None, F=None):
         out = {"regime": "coprime", "I": list(self.I)}
@@ -183,8 +178,8 @@ def _check_char_regime(F, p, k, l):
 
 @dataclass(frozen=True)
 class CharTemplate:
-    """u1 = mu * Upsilon_upsilon, u2 = ((2l+1)/mu) * Upsilon_bar, with
-    Upsilon the multiplicity product over the eta labels of M(2l+1)."""
+    """The pair (Upsilon, (2l+1) * Upsilon_bar), Upsilon the product of
+    (x - eta)^upsilon over the eta labels of M(2l+1)."""
 
     ups: AdmissibleFn
     labels: tuple
@@ -194,13 +189,10 @@ class CharTemplate:
         q = self.ups.p ** self.ups.k
         return (q * (2 * self.ups.l + 1) - 1) // 2
 
-    def u_pair(self, F, mu):
-        all_idx = range(len(self.labels))
-        u1 = _linear_product(F, self.labels, all_idx, self.ups.values).scale(mu)
-        bar = self.ups.bar
-        u2 = _linear_product(F, self.labels, all_idx, bar.values).scale(
-            F.div(F.coerce(2 * self.ups.l + 1), mu))
-        return u1, u2
+    def factors(self, F):
+        return (_linear_product(F, self.labels, self.ups.values),
+                _linear_product(F, self.labels, self.ups.bar.values,
+                                2 * self.ups.l + 1))
 
     def to_json(self, mu=None, F=None):
         out = {"regime": "char", "upsilon": list(self.ups.values)}
@@ -217,8 +209,8 @@ def char_templates(F, p, k, l, ij_only=True):
 
 
 def mu_candidates(F):
-    """Deterministic mu scan order: field enumeration order for GF,
-    1, -1, 2, -2, ... for Q."""
+    """Deterministic scan order of the nonzero mu: field enumeration order
+    (from index 1) for GF, 1, -1, 2, -2, ... for Q."""
     if F.is_finite:
         for i in range(1, F.order):
             yield F.from_index(i)
@@ -230,18 +222,21 @@ def mu_candidates(F):
             n += 1
 
 
-def find_good_mu(F, g, template):
-    """First mu (in scan order) making f squarefree; returns the scalar and
-    the enhanced curve.  A finite field can run out: only finitely many mu
-    are bad, so a degree-2 extension is recommended on exhaustion, as it is
-    for a template that PairCert or make_pair refuses at every mu."""
+def u_pair(F, factors, mu):
+    """(mu * A, B / mu) for the factor pair (A, B) and a nonzero mu."""
+    A, B = factors
+    return A.scale(mu), B.scale(F.inv(mu))
+
+
+def find_good_mu(F, g, factors):
+    """(mu, PairCert, enhanced curve) at the first mu in scan order for which
+    u_pair(F, factors, mu) makes a curve.  A finite field can run out: only
+    finitely many mu are bad, so a degree-2 extension is recommended on
+    exhaustion, as it is for a pair PairCert or make_pair refuses at every mu."""
     zero, minus1 = F.zero, F.neg(F.one)
     for mu in mu_candidates(F):
-        if mu == zero:
-            continue
         try:
-            u1, u2 = template.u_pair(F, mu)
-            cert = PairCert(g, zero, minus1, u1, u2)
+            cert = PairCert(g, zero, minus1, *u_pair(F, factors, mu))
             enh = make_pair(F, g, cert)
         except (CertError, CurveError):
             continue
@@ -298,17 +293,6 @@ def rational_four_torsion(g):
     if u1.degree != g or u2.degree != g:
         raise ValueError(f"partition factors have degrees {u1.degree}, "
                          f"{u2.degree}; expected g = {g}")
-    mu, cert, enh = find_good_mu(F, g, _FixedPair(u1, u2))
+    mu, cert, enh = find_good_mu(F, g, (u1, u2))
     P, Q = enh.P, enh.Q
     return enh.C, [P, involution(P, F), Q, involution(Q, F)], cert, mu
-
-
-@dataclass(frozen=True)
-class _FixedPair:
-    """Template wrapper around an explicit (u1, u2) factorization."""
-
-    u1: Poly
-    u2: Poly
-
-    def u_pair(self, F, mu):
-        return self.u1.scale(mu), self.u2.scale(F.inv(mu))

@@ -184,8 +184,6 @@ def poly_sqrt(h: Poly):
     square's convolution, and confirms with a full verification multiply.
     """
     ctx = h.ctx
-    if ctx.char == 2:
-        raise ValueError("characteristic 2 is not supported")
     if h.is_zero:
         return h
     val = 0

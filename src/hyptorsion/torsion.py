@@ -36,10 +36,6 @@ class QSideDegeneracyError(CertError):
     """u1(a2) - u2(a2) = 0: the would-be point Q has y = 0."""
 
 
-class ZeroDerivativeError(CertError):
-    pass
-
-
 @dataclass(frozen=True)
 class SingleCert:
     """Witness that P = (a, v(a)) has order 2g+1 on y^2 = (x-a)^{2g+1} + v^2."""
@@ -153,11 +149,14 @@ def make_pair(ctx, g, cert: PairCert) -> EnhancedCurve:
     also (x - a2)^{2g+1} + v2^2, as v1^2 - v2^2 = u1*u2 (checked by PairCert)."""
     v1, v2 = cert.v_polys()
     f = cert.curve_poly()
-    C = Curve(ctx, g, f)  # raises NotSquarefreeError on multiple roots
-    if cert.u1.derivative().is_zero:
-        raise ZeroDerivativeError("u1' = 0")
-    if cert.u2.derivative().is_zero:
-        raise ZeroDerivativeError("u2' = 0")
+    # Curve raises NotSquarefreeError on multiple roots, which also rules
+    # out u1' = 0 and u2' = 0.  If char does not divide n = 2g+1,
+    # u1*u2 = (x - a2)^n - (x - a1)^n has 2g distinct roots, so u1 and u2 are
+    # squarefree of degree g >= 1 and their derivatives are nonzero.  If it
+    # does, f' = 2 v1 v1' = 2 v2 v2' with u1 = v1 + v2, u2 = v1 - v2: u1' = 0
+    # gives v2' = -v1', so v1' u1 = 0; u2' = 0 gives v2' = v1', so v1' u2 = 0.
+    # As u1, u2 != 0, v1' = 0, so f' = 0 and f is not squarefree.
+    C = Curve(ctx, g, f)
     P = AffinePoint(cert.a1, v1(cert.a1))
     Q = AffinePoint(cert.a2, v2(cert.a2))
     return EnhancedCurve(C, P, Q)
@@ -195,5 +194,4 @@ def torsion_census(C: Curve, n: int):
         for pt in points_with_x(C, x0):
             if exact_order(C, embed(C, pt), n) == n:
                 found.append(pt)
-    found.sort(key=lambda pt: (ctx.to_index(pt.x), ctx.to_index(pt.y)))
     return found

@@ -851,11 +851,11 @@ def test_malformed_element_is_bad_elem(capsys, argv):
 # -- success payloads of construct-pair, weil --mu and rational-g52 -----------
 
 def test_construct_pair_payload(capsys):
-    from hyptorsion.families import nice_pairs_coprime
+    from hyptorsion.families import nice_pairs_coprime, u_pair
     from hyptorsion.torsion import PairCert, make_pair
     F = PrimeField(11)
     t = next(t for t in nice_pairs_coprime(F, 2) if t.I == (0, 1))
-    u1, u2 = t.u_pair(F, F.coerce(2))
+    u1, u2 = u_pair(F, t.factors(F), F.coerce(2))
     code, out = run(capsys, ["construct-pair", "--field", "GF:11", "--g", "2",
                              "--a1", "0", "--a2", "10",
                              "--u1", json.dumps(u1.to_json()),

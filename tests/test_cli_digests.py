@@ -162,6 +162,19 @@ ERRORS = [
      "--point", "(0,1)"],
     ["verify", "--field", "GF:11", "--g", "2", "--curve", "x^5+1", "--point", "([1,,1)"],
     ["verify", "--curve", "truncated.json", "--point", "(0,1)"],
+    # each construct-pair refusal: equal abscissas, u1 = 0, degree above g,
+    # degree below g, product mismatch, P side, Q side, f not squarefree
+    *(["construct-pair", "--field", "GF:11", "--g", "2", "--a1", a1, "--a2", a2,
+       "--u1", u1, "--u2", u2]
+      for a1, a2, u1, u2 in (("0", "0", "[7, 7, 2]", "[8, 10, 8]"),
+                             ("0", "10", "0", "[8, 10, 8]"),
+                             ("0", "10", "[7, 7, 2, 1]", "[8, 10, 8]"),
+                             ("0", "10", "[7, 7]", "[8, 10, 8]"),
+                             ("0", "10", "[7, 7, 3]", "[8, 10, 8]"),
+                             ("10", "0", "[9, 9, 1]", "[6, 2, 6]"),
+                             ("0", "10", "[9, 9, 1]", "[5, 9, 5]"))),
+    ["construct-pair", "--field", "GF:5", "--g", "2", "--a1", "0", "--a2", "3",
+     "--u1", "1", "--u2", "2"],   # u1' = u2' = 0
 ]
 
 # one round of each benchmark workload at seed 1, in perfbench's order

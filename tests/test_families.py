@@ -2,13 +2,14 @@ from fractions import Fraction
 
 import pytest
 
+from hyptorsion import families
 from hyptorsion.families import (AdmissibleFn, CharTemplate, RootLabel,
                                  admissible_enum, char_templates, eta_roots,
                                  find_good_mu, mu_candidates, nice_pairs_coprime,
                                  rational_four_torsion, symmetry_classes,
-                                 upsilon_ij_enum)
+                                 u_pair, upsilon_ij_enum)
 from hyptorsion.fields import (ExtField, FieldError, InsufficientFieldError,
-                               PrimeField, Rationals)
+                               PrimeField, Rationals, nth_roots_of_unity)
 from hyptorsion.jacobian import embed, exact_order
 from hyptorsion.torsion import QSideDegeneracyError, verify_single
 
@@ -25,6 +26,20 @@ class TestEtaRoots:
         # eta determines eps back: eps = (1 + eta)/eta
         for lab in labels:
             assert F11.div(F11.add(F11.one, lab.eta), lab.eta) == lab.eps
+
+    def test_product_identity_catches_a_wrong_root(self, monkeypatch):
+        def one_wrong(F, n):
+            roots = nth_roots_of_unity(F, n)
+            roots[0] = F.add(roots[0], F.one)       # 3 + 1 over GF(11)
+            return roots
+
+        monkeypatch.setattr(families, "nth_roots_of_unity", one_wrong)
+        families._eta_labels.cache_clear()
+        try:
+            with pytest.raises(FieldError, match="eta product identity failed"):
+                eta_roots(F11, 5)
+        finally:
+            families._eta_labels.cache_clear()
 
 
 class TestCoprimeTemplates:
@@ -47,21 +62,21 @@ class TestCoprimeTemplates:
 
     def test_mu_one_can_be_bad(self):
         t = next(iter(nice_pairs_coprime(F11, 2)))  # I = (0, 1)
-        u1, u2 = t.u_pair(F11, F11.one)
+        u1, u2 = u_pair(F11, t.factors(F11), F11.one)
         from hyptorsion.torsion import PairCert
         with pytest.raises(QSideDegeneracyError):
             PairCert(2, F11.zero, F11.neg(F11.one), u1, u2)
 
     def test_find_good_mu_gives_order_5(self):
         for t in nice_pairs_coprime(F11, 2):
-            mu, cert, enh = find_good_mu(F11, 2, t)
+            mu, cert, enh = find_good_mu(F11, 2, t.factors(F11))
             for P in (enh.P, enh.Q):
                 assert exact_order(enh.C, embed(enh.C, P), 5) == 5
                 assert verify_single(enh.C, P) is not None
 
     def test_family_json(self):
         t = next(iter(nice_pairs_coprime(F11, 2)))
-        mu, _, _ = find_good_mu(F11, 2, t)
+        mu, _, _ = find_good_mu(F11, 2, t.factors(F11))
         j = t.to_json(mu=mu, F=F11)
         assert j["regime"] == "coprime" and j["I"] == [0, 1] and "mu" in j
 
@@ -117,7 +132,7 @@ class TestCharRegime:
         assert len(temps) == 6
         for t in temps:
             assert t.g == 7
-            mu, cert, enh = find_good_mu(E, 7, t)
+            mu, cert, enh = find_good_mu(E, 7, t.factors(E))
             D = embed(enh.C, enh.P)
             assert exact_order(enh.C, D, 15) == 15
             j = t.to_json(mu=mu, F=E)
@@ -130,13 +145,14 @@ class TestCharRegime:
         eps, eta = t.labels[0].eps, t.labels[0].eta
         labels = (RootLabel(eps, E.add(eta, E.one)),) + t.labels[1:]
         with pytest.raises(InsufficientFieldError):
-            find_good_mu(E, 7, CharTemplate(t.ups, labels))
+            find_good_mu(E, 7, CharTemplate(t.ups, labels).factors(E))
 
 
 class TestRationalFamilies:
     def test_mu_scan_order(self):
         it = mu_candidates(Rationals())
         assert [next(it) for _ in range(4)] == [1, -1, 2, -2]
+        assert list(mu_candidates(F11)) == list(range(1, 11))   # never 0
 
     def test_not_hyperelliptic_rejected(self):
         with pytest.raises(ValueError):

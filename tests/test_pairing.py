@@ -9,7 +9,7 @@ import textwrap
 import pytest
 
 import hyptorsion
-from hyptorsion.families import find_good_mu, nice_pairs_coprime
+from hyptorsion.families import find_good_mu, nice_pairs_coprime, u_pair
 from hyptorsion.fields import ExtField, FieldError, PrimeField
 from hyptorsion.pairing import weil_closed, weil_explicit, weil_result_json
 from hyptorsion.polyring import Poly
@@ -21,7 +21,7 @@ F11 = PrimeField(11)
 def _family_cert(F, g, I):
     for t in nice_pairs_coprime(F, g):
         if t.I == I:
-            _, cert, _ = find_good_mu(F, g, t)
+            _, cert, _ = find_good_mu(F, g, t.factors(F))
             return cert
     raise AssertionError("no such subset")
 
@@ -72,7 +72,7 @@ class TestExplicit:
         from hyptorsion.families import char_templates
         E = ExtField(5, 2)
         t = next(iter(char_templates(E, 5, 1, 1)))
-        _, cert, _ = find_good_mu(E, 7, t)
+        _, cert, _ = find_good_mu(E, 7, t.factors(E))
         with pytest.raises(FieldError):
             weil_explicit(E, 7, cert)
 
@@ -155,7 +155,7 @@ class TestWIndependence:
                             (29, 3, (1, 2, 4))):
                 F = PrimeField(p)
                 t = next(t for t in nice_pairs_coprime(F, g) if t.I == I)
-                _, cert, _ = find_good_mu(F, g, t)
+                _, cert, _ = find_good_mu(F, g, t.factors(F))
                 bad = copy.copy(cert)
                 object.__setattr__(bad, "u2", cert.u2 + Poly.const(F, F.one))
                 try:
@@ -228,7 +228,7 @@ def test_two_generic_root_checks_decide_as_the_four_did():
         certs = []
         for t in nice_pairs_coprime(F, g):
             for mu in rng.sample(range(1, F.order), 8):
-                u1, u2 = t.u_pair(F, F.from_index(mu))
+                u1, u2 = u_pair(F, t.factors(F), F.from_index(mu))
                 try:
                     certs.append(PairCert(g, F.zero, F.neg(F.one), u1, u2))
                 except CertError:

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 
@@ -7,7 +8,7 @@ from hyptorsion import torsion
 from hyptorsion.fields import ExtField, PrimeField, Rationals
 from hyptorsion.jacobian import (Curve, DegreeError, NotSquarefreeError, embed,
                                  exact_order, involution, points_with_x)
-from hyptorsion.polyring import Poly
+from hyptorsion.polyring import Poly, diff_power
 from hyptorsion.torsion import (CertError, PairCert, QSideDegeneracyError,
                                 make_pair, make_single, recover_pair,
                                 torsion_census, verify_single)
@@ -91,6 +92,45 @@ def _template_cert(F, g, I, mu):
         else:
             u2 = u2 * lin
     return PairCert(g, F.zero, F.neg(F.one), u1, u2)
+
+
+def _zero_derivative_candidates():
+    """(F, g, a1, a2, u1, u2) with u1' = u2' = 0, the characteristic dividing
+    2g+1.  Over GF(3^4) at g = 7: mu * H_S^3 and (5/mu) * H_rest^3 for every
+    subset S of the four eta labels of M(5), as (x+1)^15 - x^15 = 5 H^3 there.
+    Over GF(3), GF(3^2), GF(5) and GF(7): the constant u1 = c, and
+    u2 = ((x - a2)^n - (x - a1)^n)/c, which is a constant too."""
+    from hyptorsion.families import eta_roots
+    E = ExtField(3, 4)
+    lins = [Poly(E, [E.neg(lab.eta), E.one]) for lab in eta_roots(E, 5)]
+    one = Poly.const(E, E.one)
+    for S in itertools.product((False, True), repeat=len(lins)):
+        h1 = math.prod((lin for lin, s in zip(lins, S) if s), start=one) ** 3
+        h2 = math.prod((lin for lin, s in zip(lins, S) if not s), start=one) ** 3
+        for mu in map(E.from_index, range(1, E.order)):
+            yield (E, 7, E.zero, E.neg(E.one), h1.scale(mu),
+                   h2.scale(E.div(E.coerce(5), mu)))
+    for F, g in ((PrimeField(3), 1), (ExtField(3, 2), 1), (F5, 2), (PrimeField(7), 3)):
+        for a1, a2 in itertools.permutations(F.elements(), 2):
+            d = diff_power(F, a1, a2, 2 * g + 1)
+            for c in map(F.from_index, range(1, F.order)):
+                yield F, g, a1, a2, Poly.const(F, c), d.scale(F.inv(c))
+
+
+def test_zero_derivative_is_refused_as_not_squarefree():
+    # make_pair has no check of its own for u1' = 0 or u2' = 0: the curve's
+    # squarefreeness check refuses every such certificate
+    refused = 0
+    for F, g, *args in _zero_derivative_candidates():
+        try:
+            cert = PairCert(g, *args)
+        except CertError:
+            continue
+        assert cert.u1.derivative().is_zero and cert.u2.derivative().is_zero
+        with pytest.raises(NotSquarefreeError):
+            make_pair(F, g, cert)
+        refused += 1
+    assert refused == 1096
 
 
 class TestPairs:
