@@ -9,20 +9,22 @@ every other clause of criterion 7 holds.
 
 from __future__ import annotations
 
+import itertools
 import random
 import sys
 import time
 
-from .families import (char_templates, find_good_mu, nice_pairs_coprime,
-                       rational_four_torsion, symmetry_classes, u_pair)
+from .families import (char_templates, family_pair, find_good_mu,
+                       nice_pairs_coprime, rational_four_torsion,
+                       symmetry_classes)
 from .fields import ExtField, PrimeField, Rationals
 from .jacobian import (Curve, CurveError, cantor_add, embed, exact_order,
                        identity, neg, points_with_x)
 from .numth import hyperelliptic_cert, hyperelliptic_scan, overq_filter
 from .pairing import weil_closed, weil_explicit
 from .polyring import Poly, diff_power, is_squarefree, poly_sqrt
-from .torsion import (CertError, PairCert, make_pair, make_single,
-                      recover_pair, torsion_census, verify_single)
+from .torsion import (CertError, make_single, recover_pair, torsion_census,
+                      verify_single)
 
 
 def criterion_1_examples():
@@ -31,7 +33,7 @@ def criterion_1_examples():
     checks = []
     for p, vcoeffs in ((11, [1]), (5, [1, 1])):
         F = PrimeField(p)
-        C, P, cert = make_single(F, 2, F.zero, Poly.from_ints(F, vcoeffs))
+        C, P, cert = make_single(2, F.zero, Poly.from_ints(F, vcoeffs))
         if (P.x, P.y) != (0, 1):
             raise AssertionError(
                 f"GF({p}) example point is ({P.x}, {P.y}), not (0, 1)")
@@ -43,6 +45,19 @@ def criterion_1_examples():
     return ok, f"GF(11) and GF(5) examples, cert+oracle: {checks}"
 
 
+def _single_curves(F, g):
+    """The make_single curves over F at genus g, built as they are taken: a in
+    field order, then v in the order of its coefficients read as a base-q
+    number, constant term lowest."""
+    for a in F.elements():
+        for coeffs in itertools.product(F.elements(), repeat=g + 1):
+            try:   # v = 0 is refused as a CertError
+                C, _, _ = make_single(g, a, Poly(F, coeffs[::-1]))
+            except (CurveError, CertError):
+                continue
+            yield C
+
+
 def _census_curves(p, k, g):
     """>= 20 constructed curves with an order-p^k point, censused over their
     own field GF(p^m), m <= 4; returns (curves censused, worst point count)."""
@@ -52,35 +67,14 @@ def _census_curves(p, k, g):
     total, worst = 0, 0
     for m, want in ((1, 8), (2, 6), (3, 4), (4, 2)):
         F = PrimeField(p) if m == 1 else ExtField(p, m)
-        built = 0
-        done = False
-        for a_idx in range(F.order):
-            a = F.from_index(a_idx)
-            for vi in range(1, F.order ** (g + 1)):
-                digits, t = [], vi
-                while t:
-                    digits.append(F.from_index(t % F.order))
-                    t //= F.order
-                v = Poly(F, digits)
-                if v.is_zero:
-                    continue
-                try:
-                    C, P, _ = make_single(F, g, a, v)
-                except (CurveError, CertError):
-                    continue
-                count = len(torsion_census(C, n))
-                worst = max(worst, count)
-                if count > 2:
-                    raise AssertionError(
-                        f"census found {count} points of order {n} on "
-                        f"GF({p}^{m}), violating the bound of 2")
-                built += 1
-                total += 1
-                if built >= want:
-                    done = True
-                    break
-            if done:
-                break
+        for C in itertools.islice(_single_curves(F, g), want):
+            count = len(torsion_census(C, n))
+            worst = max(worst, count)
+            if count > 2:
+                raise AssertionError(
+                    f"census found {count} points of order {n} on "
+                    f"GF({p}^{m}), violating the bound of 2")
+            total += 1
     return total, worst
 
 
@@ -105,7 +99,7 @@ def criterion_3_coprime_families():
     if len(templates) != 6 or len(classes) != 3:
         return False, f"{len(templates)} templates / {len(classes)} classes"
     for cls in classes:
-        mu, cert, enh = find_good_mu(F, 2, cls[0].factors(F))
+        mu, cert, enh = find_good_mu(2, cls[0].factors(F))
         for pt in (enh.P, enh.Q):
             if exact_order(enh.C, embed(enh.C, pt), 5) != 5:
                 return False, f"oracle order != 5 for I={cls[0].I}"
@@ -120,7 +114,7 @@ def criterion_4_char_regime():
     if len(templates) != 6:
         return False, f"{len(templates)} templates, expected 6"
     for t in templates:
-        mu, cert, enh = find_good_mu(F, t.g, t.factors(F))
+        mu, cert, enh = find_good_mu(t.g, t.factors(F))
         for pt in (enh.P, enh.Q):
             if exact_order(enh.C, embed(enh.C, pt), 15) != 15:
                 return False, f"oracle order != 15 for upsilon={t.ups.values}"
@@ -170,9 +164,9 @@ def criterion_7_pairing():
     trivial = []
     count = 0
     for F, g, t, fname in _pairing_families():
-        mu, cert, enh = find_good_mu(F, g, t.factors(F))
+        mu, cert, enh = find_good_mu(g, t.factors(F))
         # raises CertError unless e^{2g+1} = 1 and the value is W-independent
-        e = weil_explicit(F, g, cert)
+        e = weil_explicit(cert)
         if e != weil_closed(F, g, t.I):
             return False, f"route mismatch at {fname}, I={t.I}"
         if e == F.one:
@@ -219,8 +213,7 @@ def _property_roundtrip(rng):
         t = templates[rng.randrange(len(templates))]
         mu = F.from_index(rng.randrange(1, F.order))
         try:
-            cert = PairCert(g, F.zero, F.neg(F.one), *u_pair(F, t.factors(F), mu))
-            enh = make_pair(F, g, cert)
+            cert, enh = family_pair(g, t.factors(F), mu)
         except (CertError, CurveError):
             continue
         # the Remark's evaluation identities follow from the product

@@ -261,9 +261,9 @@ def cmd_construct_single(args):
     _check_genus(args.g)
     v = parse_poly(F, args.v)
     a = parse_elem(F, args.a)
-    C, P, cert = make_single(F, args.g, a, v)
+    C, P, cert = make_single(args.g, a, v)
     return {"curve": C.to_json(), "point": P.to_json(F),
-            "cert": cert.to_json(F)}, "single-point-certificate"
+            "cert": cert.to_json()}, "single-point-certificate"
 
 
 def cmd_verify(args):
@@ -275,7 +275,7 @@ def cmd_verify(args):
     cert = verify_single(C, P)
     payload = {"order_2g_plus_1": cert is not None}
     if cert is not None:
-        payload["cert"] = cert.to_json(F)
+        payload["cert"] = cert.to_json()
     if args.oracle:
         n = 2 * C.g + 1
         payload["oracle_order"] = exact_order(C, embed(C, P), n)
@@ -287,7 +287,7 @@ def cmd_construct_pair(args):
     _check_genus(args.g)
     cert = PairCert(args.g, parse_elem(F, args.a1), parse_elem(F, args.a2),
                     parse_poly(F, args.u1), parse_poly(F, args.u2))
-    enh = make_pair(F, args.g, cert)
+    enh = make_pair(cert)
     return {"curve": enh.C.to_json(), "P": enh.P.to_json(F),
             "Q": enh.Q.to_json(F)}, "pair-certificate-construction"
 
@@ -353,7 +353,7 @@ def cmd_find_mu(args):
         have = len(head) + sum(1 for _ in templates)
         raise CliError("bad-args", f"--index out of range (have {have})")
     t = head[-1]
-    mu, cert, enh = find_good_mu(F, args.g, t.factors(F))
+    mu, cert, enh = find_good_mu(args.g, t.factors(F))
     return {"family": t.to_json(mu=mu, F=F), "curve": enh.C.to_json(),
             "P": enh.P.to_json(F), "Q": enh.Q.to_json(F)}, "good-mu-scan"
 
@@ -400,9 +400,9 @@ def cmd_census(args):
 
 
 def cmd_weil(args):
-    from .families import (CoprimeTemplate, find_good_mu, nice_pairs_coprime,
-                           u_pair)
-    from .pairing import weil_closed, weil_explicit, weil_result_json
+    from .families import (CoprimeTemplate, family_pair, find_good_mu,
+                           nice_pairs_coprime)
+    from .pairing import weil_closed, weil_explicit
     F = parse_field(args.field, args.seed)
     _check_genus(args.g)
     try:
@@ -413,19 +413,19 @@ def cmd_weil(args):
     labels = next(nice_pairs_coprime(F, args.g)).labels
     if len(I) != args.g or list(I) != sorted(set(I) & set(range(2 * args.g))):
         raise CliError("bad-args", f"no coprime template with I = {I}")
-    factors = CoprimeTemplate(args.g, labels, I).factors(F)
+    factors = CoprimeTemplate(labels, I).factors(F)
     if args.mu is not None:
         mu = parse_elem(F, args.mu)
         if mu == F.zero:
             raise CliError("bad-args", "--mu must be nonzero")
-        cert = PairCert(args.g, F.zero, F.neg(F.one), *u_pair(F, factors, mu))
+        cert, _ = family_pair(args.g, factors, mu)
     else:
-        mu, cert, _ = find_good_mu(F, args.g, factors)
-    explicit = weil_explicit(F, args.g, cert)
+        mu, cert, _ = find_good_mu(args.g, factors)
+    explicit = weil_explicit(cert)
     closed = weil_closed(F, args.g, I)
-    payload = weil_result_json(F, I, explicit, closed)
-    payload["mu"] = F.elem_to_json(mu)
-    return payload, "weil-pairing-two-routes"
+    return {"I": list(I), "explicit": F.elem_to_json(explicit),
+            "closed": F.elem_to_json(closed), "match": explicit == closed,
+            "mu": F.elem_to_json(mu)}, "weil-pairing-two-routes"
 
 
 def cmd_selftest(args):

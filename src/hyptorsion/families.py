@@ -1,14 +1,14 @@
 """Parameterized families of enhanced curves with marked abscissas 0 and -1.
 
 Normalized curves with two marked points of order n = 2g+1 come from
-factorizations u1*u2 = (x+1)^n - x^n: (u1, u2) = (mu*A, B/mu) for a
-template's factor pair (A, B).  When the characteristic is prime to n, A is
-the product of (x - eta(eps)) over a g-element subset of the nontrivial n-th
-roots of unity and B is n times the product over the rest; when
-n = p^k(2l+1) in characteristic p the multiplicities follow an admissible
-exponent function on M(2l+1).  The free scalar mu is pinned down by a
-squarefreeness scan, and the rational genus-52 construction splits the
-Psi_d (1 < d | n) by totient sums.
+factorizations u1*u2 = (x+1)^n - x^n: family_pair builds the certificate and
+curve of (u1, u2) = (mu*A, B/mu) for a template's factor pair (A, B).  When
+the characteristic is prime to n, A is the product of (x - eta(eps)) over a
+g-element subset of the nontrivial n-th roots of unity and B is n times the
+product over the rest; when n = p^k(2l+1) in characteristic p the
+multiplicities follow an admissible exponent function on M(2l+1).  The free
+scalar mu is the first one whose curve is squarefree, and the rational
+genus-52 construction splits the Psi_d (1 < d | n) by totient sums.
 """
 
 from __future__ import annotations
@@ -66,9 +66,12 @@ def _linear_product(F, labels, multiplicity, c=1):
 class CoprimeTemplate:
     """Pair (H_I, (2g+1) * H_complement(I)), H_S = prod of x - eta over S."""
 
-    g: int
     labels: tuple
     I: tuple
+
+    @property
+    def g(self):
+        return len(self.I)
 
     @property
     def complement(self):
@@ -99,7 +102,7 @@ def nice_pairs_coprime(F, g):
         raise FieldError(f"characteristic {F.char} divides 2g+1 = {n}")
     labels = tuple(eta_roots(F, n))
     for I in itertools.combinations(range(2 * g), g):
-        yield CoprimeTemplate(g, labels, I)
+        yield CoprimeTemplate(labels, I)
 
 
 def symmetry_classes(templates):
@@ -222,25 +225,26 @@ def mu_candidates(F):
             n += 1
 
 
-def u_pair(F, factors, mu):
-    """(mu * A, B / mu) for the factor pair (A, B) and a nonzero mu."""
+def family_pair(g, factors, mu):
+    """(PairCert, enhanced curve) of (u1, u2) = (mu * A, B / mu) at abscissas
+    0 and -1, for the factor pair (A, B) and a nonzero mu of their field;
+    raises CertError or CurveError as PairCert and make_pair do."""
     A, B = factors
-    return A.scale(mu), B.scale(F.inv(mu))
+    F = A.ctx
+    cert = PairCert(g, F.zero, F.neg(F.one), A.scale(mu), B.scale(F.inv(mu)))
+    return cert, make_pair(cert)
 
 
-def find_good_mu(F, g, factors):
+def find_good_mu(g, factors):
     """(mu, PairCert, enhanced curve) at the first mu in scan order for which
-    u_pair(F, factors, mu) makes a curve.  A finite field can run out: only
-    finitely many mu are bad, so a degree-2 extension is recommended on
-    exhaustion, as it is for a pair PairCert or make_pair refuses at every mu."""
-    zero, minus1 = F.zero, F.neg(F.one)
-    for mu in mu_candidates(F):
+    family_pair succeeds.  A finite field can run out: only finitely many mu
+    are bad, so a degree-2 extension is recommended on exhaustion, as it is
+    for a pair PairCert or make_pair refuses at every mu."""
+    for mu in mu_candidates(factors[0].ctx):
         try:
-            cert = PairCert(g, zero, minus1, *u_pair(F, factors, mu))
-            enh = make_pair(F, g, cert)
+            return (mu, *family_pair(g, factors, mu))
         except (CertError, CurveError):
-            continue
-        return mu, cert, enh
+            pass
     raise InsufficientFieldError(
         "no good mu in the scan; a degree-2 extension provides one",
         extension_degree=2)
@@ -293,6 +297,6 @@ def rational_four_torsion(g):
     if u1.degree != g or u2.degree != g:
         raise ValueError(f"partition factors have degrees {u1.degree}, "
                          f"{u2.degree}; expected g = {g}")
-    mu, cert, enh = find_good_mu(F, g, (u1, u2))
+    mu, cert, enh = find_good_mu(g, (u1, u2))
     P, Q = enh.P, enh.Q
     return enh.C, [P, involution(P, F), Q, involution(Q, F)], cert, mu

@@ -145,6 +145,13 @@ def factorize(n):
     return out
 
 
+def totient(n):
+    phi = n
+    for p in factorize(n):
+        phi -= phi // p
+    return phi
+
+
 class Field:
     """Common interface; all element operations are pure functions."""
 
@@ -705,7 +712,6 @@ class ExtField(FiniteFieldMixin, Field):
             if not _is_irreducible(modulus, p):
                 raise FieldError("modulus is reducible over GF(p)")
         self.modulus = tuple(modulus)
-        self._mod_list = list(modulus)
         self.zero = 0
         self.one = 1
         # Without tables (log is None) every operation goes index -> digit
@@ -745,7 +751,7 @@ class ExtField(FiniteFieldMixin, Field):
         if log is None:
             p = self.p
             return _index(self._base.poly_mulmod(_digits(a, p), _digits(b, p),
-                                                 self._mod_list), p)
+                                                 self.modulus), p)
         return self._exp[log[a] + log[b]]
 
     def neg(self, a):
@@ -760,7 +766,7 @@ class ExtField(FiniteFieldMixin, Field):
         log = self._log
         if log is None:
             p = self.p
-            return _index(self._base.poly_invmod(_digits(a, p), self._mod_list), p)
+            return _index(self._base.poly_invmod(_digits(a, p), self.modulus), p)
         return self._exp[self.order - 1 - log[a]]
 
     def pow_el(self, a, e):
@@ -769,7 +775,7 @@ class ExtField(FiniteFieldMixin, Field):
         log = self._log
         if log is None:
             p = self.p
-            return _index(self._base.poly_powmod(_digits(a, p), e, self._mod_list), p)
+            return _index(self._base.poly_powmod(_digits(a, p), e, self.modulus), p)
         if not a:
             return 0 if e else 1
         return self._exp[log[a] * e % (self.order - 1)]
@@ -840,9 +846,7 @@ def _roots_of_unity(F, n):
     if n < 3 or n % 2 == 0:
         raise ValueError(f"n must be odd and >= 3, got {n}")
     if not F.is_finite:
-        phi = n
-        for r in factorize(n):
-            phi -= phi // r
+        phi = totient(n)
         raise InsufficientFieldError(
             f"Q contains no nontrivial {n}-th roots of unity; "
             f"they live in a degree-{phi} extension", extension_degree=phi)

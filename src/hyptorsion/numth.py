@@ -12,14 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .fields import factorize
-
-
-def totient(n):
-    phi = n
-    for p in factorize(n):
-        phi -= phi // p
-    return phi
+from .fields import factorize, totient
 
 
 def divisors(n):

@@ -1,7 +1,8 @@
 """Weil pairing of the two marked order-(2g+1) points, two ways.
 
-The explicit route evaluates the pairing functions at a Weierstrass point
-W = (w, 0): with v1 = (u1+u2)/2 and v2 = (u1-u2)/2,
+The explicit route reads F and g from a PairCert at abscissas 0 and -1, as
+families.family_pair builds it, and evaluates the pairing functions at a
+Weierstrass point W = (w, 0): with v1 = (u1+u2)/2 and v2 = (u1-u2)/2,
 
     g_P(D_Q) = -(v2(-1) - v1(-1))^2 / (1+w)^{2g+1}
     g_Q(D)   = (v1(0) - v2(0))^2 / v2(w)^2,    v2(w)^2 = -(1+w)^{2g+1},
@@ -22,9 +23,11 @@ from .polyring import Poly
 from .torsion import CertError, PairCert
 
 
-def weil_explicit(F, g, cert: PairCert):
+def weil_explicit(cert: PairCert):
     """The pairing e = e2^{g+1} of the marked points, evaluated through the
-    g_P/g_Q functions at the Weierstrass points of f; returned in F."""
+    g_P/g_Q functions at the Weierstrass points of f; returned in the field
+    of cert's u1, u2."""
+    F, g = cert.u1.ctx, cert.g
     n = 2 * g + 1
     if F.char and n % F.char == 0:
         raise FieldError("pairing requires characteristic prime to 2g+1")
@@ -62,12 +65,3 @@ def weil_closed(F, g, I):
         if i not in in_I:
             acc = F.mul(acc, eps)
     return acc
-
-
-def weil_result_json(F, I, explicit, closed):
-    return {
-        "I": sorted(I),
-        "explicit": F.elem_to_json(explicit),
-        "closed": F.elem_to_json(closed),
-        "match": explicit == closed,
-    }

@@ -60,8 +60,9 @@ class SingleCert:
         lin = Poly(ctx, [ctx.neg(self.a), ctx.one])
         return lin ** (2 * self.g + 1) + self.v * self.v
 
-    def to_json(self, ctx):
-        return {"g": self.g, "a": ctx.elem_to_json(self.a), "v": self.v.to_json()}
+    def to_json(self):
+        return {"g": self.g, "a": self.v.ctx.elem_to_json(self.a),
+                "v": self.v.to_json()}
 
 
 @dataclass(frozen=True)
@@ -118,11 +119,11 @@ class EnhancedCurve:
     Q: AffinePoint
 
 
-def make_single(ctx, g, a, v: Poly):
-    """Curve y^2 = (x-a)^{2g+1} + v^2 with its order-(2g+1) point (a, v(a))."""
+def make_single(g, a, v: Poly):
+    """Curve y^2 = (x-a)^{2g+1} + v^2 over v's field with its order-(2g+1)
+    point (a, v(a))."""
     cert = SingleCert(g, a, v)
-    f = cert.curve_poly()
-    C = Curve(ctx, g, f)  # raises NotSquarefreeError on multiple roots
+    C = Curve(v.ctx, g, cert.curve_poly())  # NotSquarefreeError on multiple roots
     return C, cert.point, cert
 
 
@@ -144,11 +145,10 @@ def verify_single(C: Curve, P: AffinePoint):
     return SingleCert(C.g, P.x, v)
 
 
-def make_pair(ctx, g, cert: PairCert) -> EnhancedCurve:
+def make_pair(cert: PairCert) -> EnhancedCurve:
     """Enhanced curve carrying both certified points of order 2g+1.  Its f is
     also (x - a2)^{2g+1} + v2^2, as v1^2 - v2^2 = u1*u2 (checked by PairCert)."""
     v1, v2 = cert.v_polys()
-    f = cert.curve_poly()
     # Curve raises NotSquarefreeError on multiple roots, which also rules
     # out u1' = 0 and u2' = 0.  If char does not divide n = 2g+1,
     # u1*u2 = (x - a2)^n - (x - a1)^n has 2g distinct roots, so u1 and u2 are
@@ -156,7 +156,7 @@ def make_pair(ctx, g, cert: PairCert) -> EnhancedCurve:
     # does, f' = 2 v1 v1' = 2 v2 v2' with u1 = v1 + v2, u2 = v1 - v2: u1' = 0
     # gives v2' = -v1', so v1' u1 = 0; u2' = 0 gives v2' = v1', so v1' u2 = 0.
     # As u1, u2 != 0, v1' = 0, so f' = 0 and f is not squarefree.
-    C = Curve(ctx, g, f)
+    C = Curve(cert.u1.ctx, cert.g, cert.curve_poly())
     P = AffinePoint(cert.a1, v1(cert.a1))
     Q = AffinePoint(cert.a2, v2(cert.a2))
     return EnhancedCurve(C, P, Q)

@@ -697,11 +697,30 @@ def test_weil_builds_only_the_named_template(capsys):
         assert message.startswith("no coprime template with I = ")
 
 
+@pytest.mark.parametrize("I, mu", [("0,3", 3), ("1,2", 2), ("0,1", 1), ("0,1", 2)])
+def test_weil_mu_refuses_what_construct_pair_refuses(capsys, I, mu):
+    # weil --mu at abscissas 0, -1 takes (u1, u2) = (mu*A, B/mu) for the
+    # template's (A, B); construct-pair given that pair decides the same
+    from hyptorsion.families import nice_pairs_coprime
+    F = PrimeField(11)
+    t = next(t for t in nice_pairs_coprime(F, 2)
+             if t.I == tuple(map(int, I.split(","))))
+    A, B = t.factors(F)
+    u1, u2 = A.scale(mu), B.scale(F.inv(mu))
+    _, weil = run(capsys, ["weil", "--field", "GF:11", "--g", "2", "--I", I,
+                           "--mu", str(mu)])
+    _, pair = run(capsys, ["construct-pair", "--field", "GF:11", "--g", "2",
+                           "--a1", "0", "--a2", "10", "--u1", json.dumps(u1.to_json()),
+                           "--u2", json.dumps(u2.to_json())])
+    assert weil["status"] == pair["status"]
+    assert weil.get("code") == pair.get("code")
+
+
 def test_find_mu_builds_the_templates_up_to_its_index(capsys, monkeypatch):
     from hyptorsion import families
     built, template = [], families.CoprimeTemplate
     monkeypatch.setattr(families, "CoprimeTemplate",
-                        lambda g, labels, I: built.append(I) or template(g, labels, I))
+                        lambda labels, I: built.append(I) or template(labels, I))
     find_mu = ["find-mu", "--field", "GF:11", "--g", "2", "--index"]
     code, out = run(capsys, find_mu + ["1"])
     assert (code, out["payload"]["family"]["I"]) == (0, [0, 2])
@@ -851,11 +870,11 @@ def test_malformed_element_is_bad_elem(capsys, argv):
 # -- success payloads of construct-pair, weil --mu and rational-g52 -----------
 
 def test_construct_pair_payload(capsys):
-    from hyptorsion.families import nice_pairs_coprime, u_pair
-    from hyptorsion.torsion import PairCert, make_pair
+    from hyptorsion.families import family_pair, nice_pairs_coprime
     F = PrimeField(11)
     t = next(t for t in nice_pairs_coprime(F, 2) if t.I == (0, 1))
-    u1, u2 = u_pair(F, t.factors(F), F.coerce(2))
+    cert, enh = family_pair(2, t.factors(F), F.coerce(2))
+    u1, u2 = cert.u1, cert.u2
     code, out = run(capsys, ["construct-pair", "--field", "GF:11", "--g", "2",
                              "--a1", "0", "--a2", "10",
                              "--u1", json.dumps(u1.to_json()),
@@ -863,7 +882,6 @@ def test_construct_pair_payload(capsys):
     assert code == 0
     pl = out["payload"]
     assert pl["P"]["x"] == 0 and pl["Q"]["x"] == 10
-    enh = make_pair(F, 2, PairCert(2, 0, 10, u1, u2))
     assert pl["curve"] == enh.C.to_json()
     for name in ("P", "Q"):
         point = f"({pl[name]['x']},{pl[name]['y']})"

@@ -103,6 +103,8 @@ CALLS = [
      "--n", "3", "--seed", "1"],
     ["weil", "--field", "GF:11", "--g", "2", "--I", "0,1", "--mu", "2"],
     ["weil", "--field", "GF:29,2", "--g", "2", "--I", "0,1"],
+    ["weil", "--field", "GF:29,2", "--g", "2", "--I", "0,2", "--mu", "[3,1]"],
+    ["weil", "--field", "GF:29", "--g", "3", "--I", "0,2,4", "--mu", "5"],
     ["hyperelliptic", "--max", "120", "--json-out", "out.json"],
     ["hyperelliptic", "--n", "5", "--json-out", "missing/out.json"],
 ]
@@ -151,6 +153,10 @@ ERRORS = [
      "--curve", "x^3+2*x+1"],
     ["weil", "--field", "GF:11", "--g", "2", "--I", "1,0"],
     ["weil", "--field", "GF:11", "--g", "2", "--I", "0,1", "--mu", "0"],
+    ["weil", "--field", "GF:11", "--g", "2", "--I", "0,1", "--mu", "1"],
+    # weil --mu on a curve whose f is not squarefree
+    ["weil", "--field", "GF:11", "--g", "2", "--I", "0,3", "--mu", "3"],
+    ["weil", "--field", "GF:11", "--g", "2", "--I", "1,2", "--mu", "2"],
     ["weil", "--field", "GF:311", "--g", "100000", "--I", "0"],
     ["verify", "--field", "GF:11", "--g", "2", "--curve", "(" * 300 + "x" + ")" * 300,
      "--point", "(0,1)"],

@@ -5,9 +5,9 @@ import pytest
 from hyptorsion import families
 from hyptorsion.families import (AdmissibleFn, CharTemplate, RootLabel,
                                  admissible_enum, char_templates, eta_roots,
-                                 find_good_mu, mu_candidates, nice_pairs_coprime,
-                                 rational_four_torsion, symmetry_classes,
-                                 u_pair, upsilon_ij_enum)
+                                 family_pair, find_good_mu, mu_candidates,
+                                 nice_pairs_coprime, rational_four_torsion,
+                                 symmetry_classes, upsilon_ij_enum)
 from hyptorsion.fields import (ExtField, FieldError, InsufficientFieldError,
                                PrimeField, Rationals, nth_roots_of_unity)
 from hyptorsion.jacobian import embed, exact_order
@@ -62,21 +62,19 @@ class TestCoprimeTemplates:
 
     def test_mu_one_can_be_bad(self):
         t = next(iter(nice_pairs_coprime(F11, 2)))  # I = (0, 1)
-        u1, u2 = u_pair(F11, t.factors(F11), F11.one)
-        from hyptorsion.torsion import PairCert
         with pytest.raises(QSideDegeneracyError):
-            PairCert(2, F11.zero, F11.neg(F11.one), u1, u2)
+            family_pair(2, t.factors(F11), F11.one)
 
     def test_find_good_mu_gives_order_5(self):
         for t in nice_pairs_coprime(F11, 2):
-            mu, cert, enh = find_good_mu(F11, 2, t.factors(F11))
+            mu, cert, enh = find_good_mu(2, t.factors(F11))
             for P in (enh.P, enh.Q):
                 assert exact_order(enh.C, embed(enh.C, P), 5) == 5
                 assert verify_single(enh.C, P) is not None
 
     def test_family_json(self):
         t = next(iter(nice_pairs_coprime(F11, 2)))
-        mu, _, _ = find_good_mu(F11, 2, t.factors(F11))
+        mu, _, _ = find_good_mu(2, t.factors(F11))
         j = t.to_json(mu=mu, F=F11)
         assert j["regime"] == "coprime" and j["I"] == [0, 1] and "mu" in j
 
@@ -132,7 +130,7 @@ class TestCharRegime:
         assert len(temps) == 6
         for t in temps:
             assert t.g == 7
-            mu, cert, enh = find_good_mu(E, 7, t.factors(E))
+            mu, cert, enh = find_good_mu(7, t.factors(E))
             D = embed(enh.C, enh.P)
             assert exact_order(enh.C, D, 15) == 15
             j = t.to_json(mu=mu, F=E)
@@ -145,7 +143,7 @@ class TestCharRegime:
         eps, eta = t.labels[0].eps, t.labels[0].eta
         labels = (RootLabel(eps, E.add(eta, E.one)),) + t.labels[1:]
         with pytest.raises(InsufficientFieldError):
-            find_good_mu(E, 7, CharTemplate(t.ups, labels).factors(E))
+            find_good_mu(7, CharTemplate(t.ups, labels).factors(E))
 
 
 class TestRationalFamilies:

@@ -1,5 +1,6 @@
 """What `import hyptorsion.cli` loads, the package's lazy re-exports, that
-every import is used, and what `setup.py build` puts in the package."""
+every import is used and every definition named, and what `setup.py build`
+puts in the package."""
 
 import ast
 import importlib
@@ -104,6 +105,41 @@ def test_unused_import_check_sees_each_kind(tmp_path):
                       "import os.path\nimport json as j\nfrom a import b, c\n"
                       "from d import e\n_EXPORTS = {'d': ('e',)}\nprint(c)\n")
     assert _unused_imports(source) == [(2, "os"), (3, "j"), (4, "b")]
+
+
+def _dead_definitions(defining, naming):
+    """(file name, name) of each module-level function or class of the
+    `defining` files that no ast.Name or ast.Attribute of the `naming` files
+    names, outside its own definition.  Module dunders such as `__getattr__`
+    count as named: Python calls them."""
+    body = {path: ast.parse(path.read_text(), filename=str(path)).body
+            for path in {*defining, *naming}}
+    used = [(stmt, {n.id if isinstance(n, ast.Name) else n.attr
+                    for n in ast.walk(stmt) if isinstance(n, (ast.Name, ast.Attribute))})
+            for path in naming for stmt in body[path]]
+    return sorted((path.name, stmt.name) for path in defining for stmt in body[path]
+                  if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                       ast.ClassDef))
+                  and not (stmt.name.startswith("__") and stmt.name.endswith("__"))
+                  and not any(stmt.name in names for s, names in used if s is not stmt))
+
+
+def test_every_definition_is_named():
+    source = sorted((ROOT / "src" / "hyptorsion").glob("*.py"))
+    naming = [*source, *sorted((ROOT / "perfbench").glob("*.py"))]
+    assert len(source) > 10
+    assert _dead_definitions(source, naming) == []
+
+
+def test_dead_definition_check_sees_each_kind(tmp_path):
+    source, other = tmp_path / "m.py", tmp_path / "n.py"
+    source.write_text("def used(): pass\ndef dead(): pass\ndef __dir__(): pass\n"
+                      "def recursive(): return recursive()\n"
+                      "class Used: pass\nclass Dead: pass\n"
+                      "def caller(): return used()\n")
+    other.write_text("import m\nm.Used\nm.caller()\n")
+    assert _dead_definitions([source], [source, other]) == [
+        ("m.py", "Dead"), ("m.py", "dead"), ("m.py", "recursive")]
 
 
 def test_setup_py_builds_the_pure_package(tmp_path):

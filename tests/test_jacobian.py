@@ -551,7 +551,7 @@ def _census_like_curves():
             if v(a) == F81.zero:
                 continue
             try:
-                C, P, _ = make_single(F81, g, a, v)
+                C, P, _ = make_single(g, a, v)
             except NotSquarefreeError:
                 continue
             if all(C != D for D, _ in out):

@@ -9,9 +9,9 @@ import textwrap
 import pytest
 
 import hyptorsion
-from hyptorsion.families import find_good_mu, nice_pairs_coprime, u_pair
+from hyptorsion.families import find_good_mu, nice_pairs_coprime
 from hyptorsion.fields import ExtField, FieldError, PrimeField
-from hyptorsion.pairing import weil_closed, weil_explicit, weil_result_json
+from hyptorsion.pairing import weil_closed, weil_explicit
 from hyptorsion.polyring import Poly
 from hyptorsion.torsion import CertError, PairCert
 
@@ -21,7 +21,7 @@ F11 = PrimeField(11)
 def _family_cert(F, g, I):
     for t in nice_pairs_coprime(F, g):
         if t.I == I:
-            _, cert, _ = find_good_mu(F, g, t.factors(F))
+            _, cert, _ = find_good_mu(g, t.factors(F))
             return cert
     raise AssertionError("no such subset")
 
@@ -46,41 +46,35 @@ class TestExplicit:
     def test_agrees_with_closed(self):
         for I in ((0, 1), (0, 2), (1, 3)):
             cert = _family_cert(F11, 2, I)
-            e = weil_explicit(F11, 2, cert)
+            e = weil_explicit(cert)
             assert e == weil_closed(F11, 2, I)
             assert F11.pow_el(e, 5) == F11.one
 
     def test_swap_decoration_inverts(self):
         cert = _family_cert(F11, 2, (0, 1))
         swapped = PairCert(2, cert.a1, cert.a2, cert.u2, cert.u1)
-        e = weil_explicit(F11, 2, cert)
-        assert weil_explicit(F11, 2, swapped) == F11.inv(e)
+        e = weil_explicit(cert)
+        assert weil_explicit(swapped) == F11.inv(e)
 
     def test_balanced_subset_gives_trivial_pairing(self):
         # complement of I = (0, 3) is (1, 2): zeta^2 * zeta^3 = 1 always
         cert = _family_cert(F11, 2, (0, 3))
-        assert weil_explicit(F11, 2, cert) == F11.one
+        assert weil_explicit(cert) == F11.one
         assert weil_closed(F11, 2, (0, 3)) == F11.one
 
     def test_extension_base_field(self):
         E = ExtField(29, 2)
         cert = _family_cert(E, 2, (0, 1))
-        assert weil_explicit(E, 2, cert) == weil_closed(E, 2, (0, 1))
+        assert weil_explicit(cert) == weil_closed(E, 2, (0, 1))
 
     def test_char_divides_rejected(self):
         # a valid order-15 certificate in characteristic 5 (5 divides 15)
         from hyptorsion.families import char_templates
         E = ExtField(5, 2)
         t = next(iter(char_templates(E, 5, 1, 1)))
-        _, cert, _ = find_good_mu(E, 7, t.factors(E))
+        _, cert, _ = find_good_mu(7, t.factors(E))
         with pytest.raises(FieldError):
-            weil_explicit(E, 7, cert)
-
-    def test_result_json(self):
-        cert = _family_cert(F11, 2, (0, 1))
-        e = weil_explicit(F11, 2, cert)
-        j = weil_result_json(F11, (0, 1), e, weil_closed(F11, 2, (0, 1)))
-        assert j["match"] and j["I"] == [0, 1]
+            weil_explicit(cert)
 
 
 class TestWIndependence:
@@ -93,7 +87,7 @@ class TestWIndependence:
             m1 = F.neg(F.one)
             for t in nice_pairs_coprime(F, g):
                 cert = _family_cert(F, g, t.I)
-                e = weil_explicit(F, g, cert)
+                e = weil_explicit(cert)
                 v1, v2 = cert.v_polys()
                 num_p = F.sub(v2(m1), v1(m1))
                 num_q = F.sub(v1(F.zero), v2(F.zero))
@@ -116,7 +110,7 @@ class TestWIndependence:
         bad = copy.copy(cert)  # u2 + 1, past PairCert.__post_init__
         object.__setattr__(bad, "u2", cert.u2 + Poly.const(F11, F11.one))
         with pytest.raises(CertError, match="vanishes at a root of f"):
-            weil_explicit(F11, 2, bad)
+            weil_explicit(bad)
 
     def test_rejects_other_abscissas(self):
         # x -> -x takes the (0, -1) certificate to a valid one at (0, 1),
@@ -128,7 +122,7 @@ class TestWIndependence:
         cert = _family_cert(F11, 2, (0, 1))
         moved = PairCert(2, F11.zero, F11.one, flip(cert.u1), -flip(cert.u2))
         with pytest.raises(CertError, match="fails mod f"):
-            weil_explicit(F11, 2, moved)
+            weil_explicit(moved)
 
     def test_no_base_root_matches_closed(self):
         F = ExtField(11, 3)
@@ -139,7 +133,7 @@ class TestWIndependence:
                 break
         else:
             raise AssertionError("every GF(11^3) family has a base root")
-        assert weil_explicit(F, 3, cert) == weil_closed(F, 3, t.I)
+        assert weil_explicit(cert) == weil_closed(F, 3, t.I)
 
     def test_checks_survive_optimize(self):
         # python -O strips assert statements; the typed raises must remain.
@@ -155,11 +149,11 @@ class TestWIndependence:
                             (29, 3, (1, 2, 4))):
                 F = PrimeField(p)
                 t = next(t for t in nice_pairs_coprime(F, g) if t.I == I)
-                _, cert, _ = find_good_mu(F, g, t.factors(F))
+                _, cert, _ = find_good_mu(g, t.factors(F))
                 bad = copy.copy(cert)
                 object.__setattr__(bad, "u2", cert.u2 + Poly.const(F, F.one))
                 try:
-                    weil_explicit(F, g, bad)
+                    weil_explicit(bad)
                     print("accepted")
                 except Exception as exc:
                     print(type(exc).__name__, exc)
@@ -182,10 +176,11 @@ VANISHES = "(1+w)^{2g+1} or v2(w) vanishes at a root of f"
 FAILS_MOD_F = "v2(w)^2 = -(1+w)^{2g+1} fails mod f"
 
 
-def _four_check_weil(F, g, cert):
+def _four_check_weil(cert):
     """weil_explicit with the four generic-root checks it once made: also
     gcd(v2, f) = 1, and -e2 v2^2 / (1+x)^{2g+1} = e2 mod f through the
     xgcd inverse."""
+    F, g = cert.u1.ctx, cert.g
     n = 2 * g + 1
     v1, v2 = cert.v_polys()
     m1 = F.neg(F.one)
@@ -210,9 +205,9 @@ def _four_check_weil(F, g, cert):
     return e
 
 
-def _outcome(weil, F, g, cert):
+def _outcome(weil, cert):
     try:
-        return "ok", weil(F, g, cert)
+        return "ok", weil(cert)
     except CertError as exc:
         return "refused", str(exc)
 
@@ -228,9 +223,11 @@ def test_two_generic_root_checks_decide_as_the_four_did():
         certs = []
         for t in nice_pairs_coprime(F, g):
             for mu in rng.sample(range(1, F.order), 8):
-                u1, u2 = u_pair(F, t.factors(F), F.from_index(mu))
+                A, B = t.factors(F)
+                mu = F.from_index(mu)
                 try:
-                    certs.append(PairCert(g, F.zero, F.neg(F.one), u1, u2))
+                    certs.append(PairCert(g, F.zero, F.neg(F.one), A.scale(mu),
+                                          B.scale(F.inv(mu))))
                 except CertError:
                     pass
         for cert in rng.sample(certs, min(40, len(certs))):
@@ -243,8 +240,8 @@ def test_two_generic_root_checks_decide_as_the_four_did():
                 object.__setattr__(bad, "u2", Poly(F, coeffs))
                 cases.append(bad)
             for case in cases:
-                old = _outcome(_four_check_weil, F, g, case)
-                new = _outcome(weil_explicit, F, g, case)
+                old = _outcome(_four_check_weil, case)
+                new = _outcome(weil_explicit, case)
                 assert old[0] == new[0], (F, g, case, old, new)
                 assert old == new or (old[1], new[1]) == (VANISHES, FAILS_MOD_F)
                 seen[case is cert, old[1] if old[0] == "refused" else "ok",
