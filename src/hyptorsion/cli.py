@@ -217,7 +217,8 @@ def parse_elem(ctx, text: str):
 
 
 def parse_point(ctx, text: str):
-    m = re.fullmatch(r"\s*\(\s*(.+?)\s*,\s*(.+?)\s*\)\s*", text)
+    """(x,y), split at the first comma outside the brackets of a GF(p^m) x."""
+    m = re.fullmatch(r"\s*\(\s*(\[[^]]*\]|[^,]+?)\s*,\s*(.+?)\s*\)\s*", text)
     if not m:
         raise CliError("bad-point", f"cannot parse point {text!r}; use (x,y)")
     return AffinePoint(parse_elem(ctx, m.group(1)), parse_elem(ctx, m.group(2)))

@@ -20,6 +20,8 @@ drops most reducible candidates after a few Frobenius powers.  A process
 finds each field's facts once: the modulus of each (p, m, seed), and per
 field value (p and modulus) its tables, roots of unity and quadratic
 non-residue.  Each memo (`memo`) keeps the 16 keys used most recently.
+`order_from_multiple` finds the order of an element of any group from a
+known multiple of it, for unit groups here and for Jacobians in `jacobian`.
 """
 
 from __future__ import annotations
@@ -143,6 +145,17 @@ def factorize(n):
     if n > 1:
         out[n] = out.get(n, 0) + 1
     return out
+
+
+def order_from_multiple(n, is_one):
+    """The order of a group element whose order divides n, where is_one(m)
+    says whether its m-th power is the identity: divides each prime out of n
+    as far as is_one allows."""
+    order = n
+    for r in factorize(n):
+        while order % r == 0 and is_one(order // r):
+            order //= r
+    return order
 
 
 def totient(n):
@@ -509,19 +522,6 @@ class FiniteFieldMixin:
             s = r
         return self.canonical_min(s)
 
-    def multiplicative_order(self, a, n_divides=None):
-        """Order of a in the unit group; n_divides caps the search."""
-        if a == self.zero:
-            raise ZeroDivisionError("0 has no multiplicative order")
-        n = n_divides if n_divides is not None else self.order - 1
-        if self.pow_el(a, n) != self.one:
-            return None
-        order = n
-        for r in factorize(n):
-            while order % r == 0 and self.pow_el(a, order // r) == self.one:
-                order //= r
-        return order
-
 
 class PrimeField(FiniteFieldMixin, Field):
     """GF(p), p an odd prime; elements are least nonnegative residues."""
@@ -671,10 +671,9 @@ def _build_tables(p, modulus):
     F = PrimeField(p)
     q = p ** (len(modulus) - 1)
     n = q - 1
-    cofactors = [n // r for r in factorize(n)]
     for gen in range(2, q):
         g = _digits(gen, p)
-        if all(F.poly_powmod(g, e, modulus) != [1] for e in cofactors):
+        if order_from_multiple(n, lambda m: F.poly_powmod(g, m, modulus) == [1]) == n:
             break
     exp, acc = [1], [1]
     for _ in range(n - 1):
@@ -866,7 +865,7 @@ def _roots_of_unity(F, n):
     # the least one is then the least of its powers prime to n.
     for i in range(1, q):
         zeta = F.pow_el(F.from_index(i), (q - 1) // n)
-        if F.multiplicative_order(zeta, n_divides=n) == n:
+        if order_from_multiple(n, lambda m: F.pow_el(zeta, m) == F.one) == n:
             break
     zeta = min((F.pow_el(zeta, k) for k in range(1, n) if math.gcd(k, n) == 1),
                key=F.to_index)

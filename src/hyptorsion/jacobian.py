@@ -13,17 +13,17 @@ cases are tested against.  So the census order test of a point, whose ladder
 stays among the multiples [k]P = ((x - a)^k, v) with k <= g, never reaches
 _compose.
 Orders are computed exactly by dividing out the prime factors of a known
-multiple.  Each test [m]D = 0 on the way is decided as [m - k]D = -[k]D with
-k = m // 2, one doubling short of [m]D.  Reduced pairs are unique, so every
-route of cantor_add gives the same pair, and the two sides of a test agree as
-pairs exactly when they agree as classes.
+multiple (`fields.order_from_multiple`).  Each test [m]D = 0 on the way is
+decided as [m - k]D = -[k]D with k = m // 2, one doubling short of [m]D.
+Reduced pairs are unique, so every route of cantor_add gives the same pair,
+and the two sides of a test agree as pairs exactly when they agree as classes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .fields import factorize
+from .fields import order_from_multiple
 from .polyring import Poly, is_squarefree
 
 
@@ -270,7 +270,7 @@ def _kills(C: Curve, m: int, D: MumfordDivisor) -> bool:
 
 def exact_order(C: Curve, D: MumfordDivisor, n: int):
     """Exact order of D given a candidate multiple n, or None if ord(D) | n
-    fails.  Divides each prime out of n as far as possible.  Every test
+    fails.  order_from_multiple divides each prime out of n.  Every test
     [m]D = 0 (m = n, then each m = order // p) goes through _kills, so it
     costs bit_length(m // 2) - 1 + popcount(m // 2) - 1 + m % 2
     compositions for m >= 2.  For a point D, only the doublings of degree
@@ -279,8 +279,4 @@ def exact_order(C: Curve, D: MumfordDivisor, n: int):
         raise ValueError(f"n must be >= 1, got {n}")
     if not _kills(C, n, D):
         return None
-    order = n
-    for p in factorize(n):
-        while order % p == 0 and _kills(C, order // p, D):
-            order //= p
-    return order
+    return order_from_multiple(n, lambda m: _kills(C, m, D))

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from .fields import FieldError, nth_roots_of_unity
 from .polyring import Poly
-from .torsion import CertError, PairCert
+from .torsion import CertError, PairCert, curve_poly
 
 
 def weil_explicit(cert: PairCert):
@@ -47,8 +47,8 @@ def weil_explicit(cert: PairCert):
     # be a unit and v2(w)^2 = -(1+w)^{2g+1}.  Then v2(w) is a unit too (a common
     # root of v2 and f would be a root of (1+x)^{2g+1}), and g_P(D_Q)/g_Q(D) =
     # -(num_p/num_q)^2 v2(w)^2 / (1+w)^{2g+1} = e2 at every root w of f.
-    f = cert.curve_poly()
-    pw = Poly(F, [F.one, F.one]) ** n % f
+    f = curve_poly(g, cert.a1, v1)
+    pw = Poly(F, [F.one, F.one]) ** n - f   # (1+x)^n mod f: both monic of degree n
     if pw.gcd(f).degree != 0:
         raise CertError("(1+w)^{2g+1} or v2(w) vanishes at a root of f")
     if not ((v2 * v2 + pw) % f).is_zero:

@@ -4,7 +4,9 @@ Coefficients are stored ascending with no trailing zeros; the zero polynomial
 has an empty coefficient tuple and `degree` None (a sentinel, never used in
 arithmetic).  `Poly` wraps the coefficient tuple; its ring operations,
 division, gcds and evaluation are the field context's `poly_*` methods, so
-the field alone decides which arithmetic backs its polynomials.
+the field alone decides which arithmetic backs its polynomials.  A power of a
+linear polynomial, such as a certificate's (x - a)^{2g+1}, is expanded by the
+binomial theorem; other powers square and multiply.
 """
 
 from __future__ import annotations
@@ -121,7 +123,20 @@ class Poly:
     def __pow__(self, e):
         if e < 0:
             raise ValueError("negative polynomial power")
-        result = Poly.const(self.ctx, self.ctx.one)
+        ctx = self.ctx
+        if self.degree == 1:
+            # (c0 + c1 x)^e has C(e, k) c0^(e-k) c1^k at x^k
+            c0, c1 = self.coeffs
+            low, high = [ctx.one], [ctx.one]
+            for _ in range(e):
+                low.append(ctx.mul(low[-1], c0))
+                high.append(ctx.mul(high[-1], c1))
+            out, binom = [], 1
+            for k in range(e + 1):
+                out.append(ctx.mul(ctx.coerce(binom), ctx.mul(low[e - k], high[k])))
+                binom = binom * (e - k) // (k + 1)
+            return Poly(ctx, out)
+        result = Poly.const(ctx, ctx.one)
         base = self
         while e:
             if e & 1:

@@ -1,10 +1,11 @@
 """Certificates for points of order 2g+1 on odd-degree hyperelliptic curves.
 
 A point P = (a, v(a)) on y^2 = f(x) has order 2g+1 exactly when
-f = (x - a)^{2g+1} + v(x)^2 with deg v <= g and v(a) != 0; a pair of such
-points with distinct abscissas is encoded by polynomials u1, u2 whose product
-is (x - a2)^{2g+1} - (x - a1)^{2g+1}.  Everything here is exact polynomial
-identity checking; the Jacobian oracle is the independent cross-check.
+f = (x - a)^{2g+1} + v(x)^2, as `curve_poly` forms it, with deg v <= g and
+v(a) != 0; a pair of such points with distinct abscissas is encoded by
+polynomials u1, u2 whose product is (x - a2)^{2g+1} - (x - a1)^{2g+1}.
+Everything here is exact polynomial identity checking; the Jacobian oracle is
+the independent cross-check.
 """
 
 from __future__ import annotations
@@ -55,11 +56,6 @@ class SingleCert:
     def point(self):
         return AffinePoint(self.a, self.v(self.a))
 
-    def curve_poly(self):
-        ctx = self.v.ctx
-        lin = Poly(ctx, [ctx.neg(self.a), ctx.one])
-        return lin ** (2 * self.g + 1) + self.v * self.v
-
     def to_json(self):
         return {"g": self.g, "a": self.v.ctx.elem_to_json(self.a),
                 "v": self.v.to_json()}
@@ -102,12 +98,6 @@ class PairCert:
         half = ctx.inv(ctx.coerce(2))
         return (self.u1 + self.u2).scale(half), (self.u1 - self.u2).scale(half)
 
-    def curve_poly(self):
-        ctx = self.u1.ctx
-        v1, _ = self.v_polys()
-        lin = Poly(ctx, [ctx.neg(self.a1), ctx.one])
-        return lin ** (2 * self.g + 1) + v1 * v1
-
 
 @dataclass(frozen=True)
 class EnhancedCurve:
@@ -119,11 +109,17 @@ class EnhancedCurve:
     Q: AffinePoint
 
 
+def curve_poly(g, a, v: Poly) -> Poly:
+    """f = (x - a)^{2g+1} + v^2, the curve polynomial of a certificate."""
+    ctx = v.ctx
+    return Poly(ctx, [ctx.neg(a), ctx.one]) ** (2 * g + 1) + v * v
+
+
 def make_single(g, a, v: Poly):
     """Curve y^2 = (x-a)^{2g+1} + v^2 over v's field with its order-(2g+1)
     point (a, v(a))."""
     cert = SingleCert(g, a, v)
-    C = Curve(v.ctx, g, cert.curve_poly())  # NotSquarefreeError on multiple roots
+    C = Curve(v.ctx, g, curve_poly(g, a, v))  # NotSquarefreeError on multiple roots
     return C, cert.point, cert
 
 
@@ -156,7 +152,7 @@ def make_pair(cert: PairCert) -> EnhancedCurve:
     # does, f' = 2 v1 v1' = 2 v2 v2' with u1 = v1 + v2, u2 = v1 - v2: u1' = 0
     # gives v2' = -v1', so v1' u1 = 0; u2' = 0 gives v2' = v1', so v1' u2 = 0.
     # As u1, u2 != 0, v1' = 0, so f' = 0 and f is not squarefree.
-    C = Curve(cert.u1.ctx, cert.g, cert.curve_poly())
+    C = Curve(cert.u1.ctx, cert.g, curve_poly(cert.g, cert.a1, v1))
     P = AffinePoint(cert.a1, v1(cert.a1))
     Q = AffinePoint(cert.a2, v2(cert.a2))
     return EnhancedCurve(C, P, Q)

@@ -91,6 +91,25 @@ class TestCommands:
             "--curve", "x^5+1", "--point", "(0,2)"])
         assert code == 1 and out["status"] == "error"
 
+    def test_verify_takes_the_printed_extension_field_points(self, capsys):
+        # a GF(p^m) coordinate prints as a JSON list, with commas inside
+        def verify(field, g, curve, pt):
+            point = "(%s,%s)" % (json.dumps(pt["x"]), json.dumps(pt["y"]))
+            code, out = run(capsys, ["verify", "--field", field, "--g", str(g),
+                                     "--curve", json.dumps(curve), "--point", point,
+                                     "--oracle"])
+            assert code == 0, out
+            assert out["payload"]["order_2g_plus_1"] is True
+            assert out["payload"]["oracle_order"] == 2 * g + 1
+
+        _, out = run(capsys, ["construct-single", "--field", "GF:3,2", "--g", "1",
+                              "--a", "[0,1]", "--v", "[[1,0],[1,0]]"])
+        verify("GF:3,2", 1, out["payload"]["curve"]["f"], out["payload"]["point"])
+        _, out = run(capsys, ["find-mu", "--field", "GF:29,2", "--g", "2",
+                              "--index", "1"])
+        for name in ("P", "Q"):
+            verify("GF:29,2", 2, out["payload"]["curve"]["f"], out["payload"][name])
+
     def test_construct_single(self, capsys):
         code, out = run(capsys, [
             "construct-single", "--field", "GF:5", "--g", "2",

@@ -84,6 +84,11 @@ CALLS = [
     ["construct-single", "--field", "Q", "--g", "2", "--a", "1/2", "--v", "x+1"],
     ["verify", "--field", "GF:11", "--g", "2", "--curve", "x^5+1", "--point", "(0,1)",
      "--oracle"],
+    ["verify", "--field", "GF:3,2", "--g", "1", "--curve", "[[2,1],[2,0],[1,0],[1,0]]",
+     "--point", "([0,1],[1,1])", "--oracle"],
+    ["verify", "--field", "GF:29,2", "--g", "2", "--curve",
+     "[[15,8],[12,28],[22,7],[21,24],[9,0],[1,0]]", "--point", "([28,0],[22,3])",
+     "--oracle"],
     ["construct-pair", "--field", "GF:11", "--g", "2", "--a1", "0", "--a2", "10",
      "--u1", "[7, 7, 2]", "--u2", "[8, 10, 8]"],
     ["enumerate-families", "--field", "GF:11", "--g", "2"],

@@ -10,7 +10,8 @@ from hyptorsion import families, fields
 from hyptorsion.families import eta_roots
 from hyptorsion.fields import (ExtField, FieldError, InsufficientFieldError,
                                PrimeField, Rationals, field_make,
-                               find_irreducible, is_prime, nth_roots_of_unity)
+                               find_irreducible, is_prime, nth_roots_of_unity,
+                               order_from_multiple)
 
 
 def test_is_prime():
@@ -245,7 +246,7 @@ class TestTableField:
         rng = random.Random(97)
         for _ in range(30):
             a = rng.randrange(1, F.order)
-            n = F.multiplicative_order(a)
+            n = order_from_multiple(F.order - 1, lambda m: F.pow_el(a, m) == F.one)
             assert (F.order - 1) % n == 0 and F.pow_el(a, n) == F.one
             assert all(F.pow_el(a, n // r) != F.one for r in fields.factorize(n))
             s = F.sqrt(F.mul(a, a))
@@ -263,6 +264,16 @@ class TestTableField:
         ExtField(7, 2, modulus=moduli[-1])      # kept
         ExtField(7, 2, modulus=moduli[0])       # the least recently used, dropped
         assert tables.cache_info()[:2] == (1, 18)
+
+
+def test_order_from_multiple_matches_brute_force():
+    for F in (PrimeField(13), ExtField(3, 4)):
+        for a in range(1, F.order):
+            brute, acc = 1, a
+            while acc != F.one:
+                acc, brute = F.mul(acc, a), brute + 1
+            assert order_from_multiple(
+                F.order - 1, lambda m: F.pow_el(a, m) == F.one) == brute, (F, a)
 
 
 def _irreducible_quadratics(p):
@@ -411,8 +422,8 @@ class TestRootsOfUnity:
     def scan(F, n):
         """M(n) as powers of the least-index element of order n, found by
         walking the field."""
-        zeta = next(z for z in F.elements()
-                    if z != F.zero and F.multiplicative_order(z, n_divides=n) == n)
+        zeta = next(z for z in F.elements() if F.pow_el(z, n) == F.one
+                    and all(F.pow_el(z, k) != F.one for k in range(1, n)))
         roots, acc = [], F.one
         for _ in range(n - 1):
             acc = F.mul(acc, zeta)

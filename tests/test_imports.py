@@ -3,6 +3,8 @@ every import is used and every definition named, and what `setup.py build`
 puts in the package."""
 
 import ast
+import builtins
+import collections
 import importlib
 import json
 import shutil
@@ -107,21 +109,45 @@ def test_unused_import_check_sees_each_kind(tmp_path):
     assert _unused_imports(source) == [(2, "os"), (3, "j"), (4, "b")]
 
 
+def _library_class(base):
+    """The class a base-class expression names, if it lies outside the
+    scanned files: a builtin such as `ValueError`, or `module.Class` such as
+    `argparse.ArgumentParser`.  `object` for a class of the scanned files."""
+    if isinstance(base, ast.Attribute):
+        return getattr(importlib.import_module(ast.unparse(base.value)), base.attr)
+    return getattr(builtins, base.id, object)
+
+
+def _names(node):
+    return collections.Counter(n.id if isinstance(n, ast.Name) else n.attr
+                               for n in ast.walk(node)
+                               if isinstance(n, (ast.Name, ast.Attribute)))
+
+
 def _dead_definitions(defining, naming):
-    """(file name, name) of each module-level function or class of the
-    `defining` files that no ast.Name or ast.Attribute of the `naming` files
-    names, outside its own definition.  Module dunders such as `__getattr__`
-    count as named: Python calls them."""
-    body = {path: ast.parse(path.read_text(), filename=str(path)).body
-            for path in {*defining, *naming}}
-    used = [(stmt, {n.id if isinstance(n, ast.Name) else n.attr
-                    for n in ast.walk(stmt) if isinstance(n, (ast.Name, ast.Attribute))})
-            for path in naming for stmt in body[path]]
-    return sorted((path.name, stmt.name) for path in defining for stmt in body[path]
-                  if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef,
-                                       ast.ClassDef))
-                  and not (stmt.name.startswith("__") and stmt.name.endswith("__"))
-                  and not any(stmt.name in names for s, names in used if s is not stmt))
+    """(file name, name) of each module-level function or class, and each
+    method or property of a module-level class, of the `defining` files that
+    no ast.Name or ast.Attribute of the `naming` files names, outside its own
+    definition.  Dunders such as `__getattr__` count as named: Python calls
+    them.  So does a method that overrides an attribute of a base class from
+    outside the files, such as `argparse.ArgumentParser.error`: the library
+    calls it."""
+    trees = {path: ast.parse(path.read_text(), filename=str(path))
+             for path in {*defining, *naming}}
+    used = sum((_names(trees[path]) for path in naming), collections.Counter())
+    functions = (ast.FunctionDef, ast.AsyncFunctionDef)
+    found = []
+    for path in defining:
+        for stmt in trees[path].body:
+            if isinstance(stmt, ast.ClassDef):
+                inherited = set().union(*(dir(_library_class(b)) for b in stmt.bases))
+                found += [(path, d) for d in stmt.body
+                          if isinstance(d, functions) and d.name not in inherited]
+            if isinstance(stmt, (*functions, ast.ClassDef)):
+                found.append((path, stmt))
+    return sorted((path.name, d.name) for path, d in found
+                  if not (d.name.startswith("__") and d.name.endswith("__"))
+                  and used[d.name] <= _names(d)[d.name])
 
 
 def test_every_definition_is_named():
@@ -133,13 +159,25 @@ def test_every_definition_is_named():
 
 def test_dead_definition_check_sees_each_kind(tmp_path):
     source, other = tmp_path / "m.py", tmp_path / "n.py"
-    source.write_text("def used(): pass\ndef dead(): pass\ndef __dir__(): pass\n"
+    source.write_text("import argparse\n"
+                      "def used(): pass\ndef dead(): pass\ndef __dir__(): pass\n"
                       "def recursive(): return recursive()\n"
-                      "class Used: pass\nclass Dead: pass\n"
-                      "def caller(): return used()\n")
+                      "class Used:\n"
+                      "    def __init__(self): self.helper()\n"
+                      "    def helper(self): pass\n"
+                      "    def dead_method(self): return self.dead_method()\n"
+                      "    @property\n"
+                      "    def dead_property(self): pass\n"
+                      "class Dead: pass\n"
+                      "class Parser(argparse.ArgumentParser):\n"
+                      "    def error(self, message): pass\n"
+                      "class Refused(ValueError):\n"
+                      "    def with_traceback(self, tb): pass\n"
+                      "def caller(): return used(), Parser, Refused\n")
     other.write_text("import m\nm.Used\nm.caller()\n")
     assert _dead_definitions([source], [source, other]) == [
-        ("m.py", "Dead"), ("m.py", "dead"), ("m.py", "recursive")]
+        ("m.py", "Dead"), ("m.py", "dead"), ("m.py", "dead_method"),
+        ("m.py", "dead_property"), ("m.py", "recursive")]
 
 
 def test_setup_py_builds_the_pure_package(tmp_path):

@@ -13,7 +13,7 @@ from hyptorsion.families import find_good_mu, nice_pairs_coprime
 from hyptorsion.fields import ExtField, FieldError, PrimeField
 from hyptorsion.pairing import weil_closed, weil_explicit
 from hyptorsion.polyring import Poly
-from hyptorsion.torsion import CertError, PairCert
+from hyptorsion.torsion import CertError, PairCert, curve_poly
 
 F11 = PrimeField(11)
 
@@ -93,7 +93,7 @@ class TestWIndependence:
                 num_q = F.sub(v1(F.zero), v2(F.zero))
                 e2 = F.div(F.mul(num_p, num_p), F.mul(num_q, num_q))
                 assert F.pow_el(e2, g + 1) == e
-                f = cert.curve_poly()
+                f = curve_poly(g, cert.a1, v1)
                 for w in F.elements():
                     if f(w) != F.zero:
                         continue
@@ -128,7 +128,7 @@ class TestWIndependence:
         F = ExtField(11, 3)
         for t in nice_pairs_coprime(F, 3):
             cert = _family_cert(F, 3, t.I)
-            f = cert.curve_poly()
+            f = curve_poly(3, cert.a1, cert.v_polys()[0])
             if all(f(a) != F.zero for a in F.elements()):
                 break
         else:
@@ -192,7 +192,7 @@ def _four_check_weil(cert):
     e = F.pow_el(e2, g + 1)
     if F.mul(e, e) != e2:
         raise CertError("e is not a square root of e2")
-    f = cert.curve_poly()
+    f = curve_poly(g, cert.a1, v1)
     pw = Poly(F, [F.one, F.one]) ** n % f
     unit, pw_inv, _ = pw.xgcd(f)
     if unit.degree != 0 or v2.gcd(f).degree != 0:

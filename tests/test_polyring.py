@@ -151,6 +151,19 @@ class TestPow:
                 assert p ** e == expected
                 expected = expected * p
 
+    def test_linear_base_matches_repeated_multiplication(self):
+        F9, F5 = ExtField(3, 2), PrimeField(5)
+        cases = [(QQ, [Fraction(-2, 3), Fraction(5, 7)], 12),
+                 (F11, [3, 1], 20), (F11, [0, 7], 20), (QQ, [0, 1], 6),
+                 (F9, [F9.from_index(5), F9.from_index(7)], 20),
+                 (F5, [2, 3], 25), (F5, [1, 1], 30)]   # C(25, k) = 0 mod 5, 0 < k < 25
+        for F, coeffs, top in cases:
+            p = Poly(F, coeffs)
+            expected = Poly.const(F, F.one)
+            for e in range(top + 1):
+                assert p ** e == expected, (F, coeffs, e)
+                expected = expected * p
+
     def test_no_square_after_last_bit(self, monkeypatch):
         calls = []
         mul = Poly.__mul__
@@ -160,8 +173,8 @@ class TestPow:
             return mul(a, b)
 
         monkeypatch.setattr(Poly, "__mul__", counting_mul)
-        Poly(F11, [1, 1]) ** 9  # 9 = 0b1001: three squarings, two products
-        assert len(calls) == 5 and (8, 8) not in calls
+        Poly(F11, [1, 1, 1]) ** 9  # 9 = 0b1001: three squarings, two products
+        assert len(calls) == 5 and (16, 16) not in calls
 
 
 class TestCyclotomic:

@@ -1,3 +1,4 @@
+import copy
 import itertools
 import math
 import random
@@ -5,12 +6,13 @@ import random
 import pytest
 
 from hyptorsion import torsion
+from hyptorsion.families import find_good_mu, nice_pairs_coprime
 from hyptorsion.fields import ExtField, PrimeField, Rationals
 from hyptorsion.jacobian import (Curve, NotSquarefreeError, embed, exact_order,
                                  involution, points_with_x)
 from hyptorsion.polyring import Poly, diff_power
 from hyptorsion.torsion import (CertError, PairCert, QSideDegeneracyError,
-                                make_pair, make_single, recover_pair,
+                                curve_poly, make_pair, make_single, recover_pair,
                                 torsion_census, verify_single)
 
 F11 = PrimeField(11)
@@ -160,6 +162,19 @@ class TestPairs:
             recover_pair(enh.C, enh.P, W)
         with pytest.raises(CertError):
             recover_pair(enh.C, W, enh.Q)
+
+    def test_both_points_give_one_curve(self):
+        # make_pair builds f from (a1, v1) alone; the product identity makes
+        # it (x - a2)^{2g+1} + v2^2 as well.
+        for F, g in ((F11, 2), (ExtField(29, 2), 2), (ExtField(11, 3), 3)):
+            for t in nice_pairs_coprime(F, g):
+                _, cert, _ = find_good_mu(g, t.factors(F))
+                v1, v2 = cert.v_polys()
+                assert curve_poly(g, cert.a1, v1) == curve_poly(g, cert.a2, v2), (F, t.I)
+        forged = copy.copy(cert)  # u2 + 1, past PairCert.__post_init__
+        object.__setattr__(forged, "u2", cert.u2 + Poly.const(F, F.one))
+        v1, v2 = forged.v_polys()
+        assert curve_poly(g, cert.a1, v1) != curve_poly(g, cert.a2, v2)
 
     def test_evaluation_identities(self):
         cert = _template_cert(F11, 2, (0, 2), F11.one)
