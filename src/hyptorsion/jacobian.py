@@ -6,10 +6,10 @@ reduced Mumford pairs (u, v), composed via extended polynomial gcds, and
 reduced until deg u <= g.  cantor_add takes the textbook special cases first:
 a point operand P is added along the chord, cancels against -P in the other
 operand's support, or raises P's multiplicity there (the tangent when the
-other operand is P), all with no gcd; a higher-degree doubling runs one xgcd
-and coprime supports skip the second one.  Everything else runs Cantor's
-general two-xgcd composition (_compose), which is also the oracle the special
-cases are tested against.  So the census order test of a point, whose ladder
+other operand is P), all with no gcd; a higher-degree doubling with
+gcd(u1, 2 v1) = 1 runs one xgcd.  Everything else runs Cantor's general
+two-xgcd composition (_compose), which is also the oracle the special cases
+are tested against.  So the census order test of a point, whose ladder
 stays among the multiples [k]P = ((x - a)^k, v) with k <= g, never reaches
 _compose.
 Orders are computed exactly by dividing out the prime factors of a known
@@ -173,16 +173,14 @@ def _reduce(C: Curve, u: Poly, v: Poly) -> MumfordDivisor:
     return MumfordDivisor(C, u, v, _checked=True)
 
 
-def _compose(C: Curve, D1: MumfordDivisor, D2: MumfordDivisor,
-             bezout=None, bezout2=None) -> MumfordDivisor:
+def _compose(C: Curve, D1: MumfordDivisor, D2: MumfordDivisor) -> MumfordDivisor:
     """Cantor's general composition and reduction (Cantor, Math. Comp. 48,
-    1987): d1 = gcd(u1, u2) = e1 u1 + e2 u2, then d = gcd(d1, v1 + v2).
-    bezout is (d1, e1, e2) and bezout2 is (d, c1, c2) when the caller
-    already has them.  The fallback of cantor_add and the oracle of its
-    special cases."""
+    1987): d1 = gcd(u1, u2) = e1 u1 + e2 u2, then d = gcd(d1, v1 + v2) =
+    c1 d1 + c2 (v1 + v2), two xgcds.  The fallback of cantor_add and the
+    oracle of its special cases."""
     u1, v1, u2, v2 = D1.u, D1.v, D2.u, D2.v
-    d1, e1, e2 = bezout or u1.xgcd(u2)
-    d, c1, c2 = bezout2 or d1.xgcd(v1 + v2)
+    d1, e1, e2 = u1.xgcd(u2)
+    d, c1, c2 = d1.xgcd(v1 + v2)
     s1, s2, s3 = c1 * e1, c1 * e2, c2
     u = (u1 * u2) // (d * d)
     v = ((s1 * u1 * v2 + s2 * u2 * v1 + s3 * (v1 * v2 + C.f)) // d) % u
@@ -203,10 +201,9 @@ def cantor_add(C: Curve, D1: MumfordDivisor, D2: MumfordDivisor) -> MumfordDivis
         which for u1 = x - a is the tangent;
     none of which runs a gcd.  Doubling a divisor of higher degree runs
     one xgcd(u1, 2 v1): with gcd 1 and t = (2 v1)^-1 mod u1, u = u1^2 and
-    v = v1 + (k t mod u1) u1; otherwise _compose gets both Bezout triples.
-    Coprime supports u = u1 u2 skip the second xgcd.  The rest goes through
-    _compose.  (Handbook of Elliptic and Hyperelliptic Curve Cryptography,
-    ch. 14.)"""
+    v = v1 + (k t mod u1) u1.  Any other doubling, and any sum of two
+    distinct divisors of degree >= 2, goes through _compose.  (Handbook of
+    Elliptic and Hyperelliptic Curve Cryptography, ch. 14.)"""
     if D1.is_identity:
         return D2
     if D2.is_identity:
@@ -228,18 +225,11 @@ def cantor_add(C: Curve, D1: MumfordDivisor, D2: MumfordDivisor) -> MumfordDivis
         v = v1 + u1.scale(ctx.div(k(a), ctx.add(b, b)))
         return _reduce(C, u1 * u2, v)
     if D1 == D2:
-        d, s, t = u1.xgcd(v1 + v1)
+        d, _, t = u1.xgcd(v1 + v1)
         if d.degree == 0:
             k = (C.f - v1 * v1) // u1
             return _reduce(C, u1 * u1, v1 + ((k * t) % u1) * u1)
-        # gcd(u1, u1) = u1 = 0 u1 + 1 u1
-        return _compose(C, D1, D1, (u1, Poly.zero(ctx), Poly.const(ctx, ctx.one)),
-                        (d, s, t))
-    d1, e1, e2 = u1.xgcd(u2)
-    if d1.degree == 0:
-        u = u1 * u2
-        return _reduce(C, u, (e1 * u1 * v2 + e2 * u2 * v1) % u)
-    return _compose(C, D1, D2, (d1, e1, e2))
+    return _compose(C, D1, D2)
 
 
 def scalar_mul(C: Curve, n: int, D: MumfordDivisor) -> MumfordDivisor:

@@ -106,6 +106,9 @@ CALLS = [
     ["census", "--p", "5", "--g", "2", "--curve", "x^5+(x+1)^2", "--n", "5"],
     ["census", "--p", "3", "--m", "4", "--g", "1", "--curve", "x^3+(x+1)^2",
      "--n", "3", "--seed", "1"],
+    ["census", "--p", "3", "--m", "4", "--g", "1", "--curve", "x^3+(x+1)^2",
+     "--n", "15"],
+    ["census", "--p", "13", "--g", "2", "--curve", "x^5+2*x+3", "--n", "76"],
     ["weil", "--field", "GF:11", "--g", "2", "--I", "0,1", "--mu", "2"],
     ["weil", "--field", "GF:29,2", "--g", "2", "--I", "0,1"],
     ["weil", "--field", "GF:29,2", "--g", "2", "--I", "0,2", "--mu", "[3,1]"],

@@ -14,6 +14,8 @@ from hyptorsion.jacobian import (AffinePoint, Curve, DegreeError,
 from hyptorsion.polyring import Poly
 from hyptorsion.torsion import make_single
 
+import test_cli_digests
+
 F11 = PrimeField(11)
 C_X5_1 = Curve(F11, 2, Poly.from_ints(F11, [1, 0, 0, 0, 0, 1]))
 F81 = ExtField(3, 4)
@@ -286,6 +288,12 @@ def _count_xgcd(monkeypatch):
     return calls
 
 
+def _doubling_xgcds(S):
+    """xgcds that cantor_add(S, S) runs for deg S.u >= 2: xgcd(u1, 2 v1),
+    and _compose's two more unless that gcd is 1."""
+    return 1 if S.u.xgcd(S.v + S.v)[0].degree == 0 else 3
+
+
 def _oracle_sum(C, terms):
     """The sum of k P over the (P, k) in terms, by general composition."""
     D = identity(C)
@@ -322,8 +330,8 @@ def _pool_sums(C, pool):
 
 class TestCompositionCases:
     """cantor_add's cases (a point operand by chord, tangent or a point
-    already in the support; doubling; coprime supports) against the general
-    two-xgcd composition, which they must match pair for pair."""
+    already in the support; a doubling with gcd(u1, 2 v1) = 1) against the
+    general two-xgcd composition, which they must match pair for pair."""
 
     @pytest.mark.parametrize("C", [C_G1_F13, C_X5_1, C_G4_F81],
                              ids=["g1/GF13", "x5+1/GF11", "g4/GF81"])
@@ -379,20 +387,15 @@ class TestCompositionCases:
                     cantor_add(C, E, D)
                     assert not calls, (D, E)
 
-    def test_doubling_and_coprime_supports_run_one_xgcd(self, monkeypatch):
+    def test_doubling_runs_one_xgcd_and_compose_two(self, monkeypatch):
         points, sums = _case_divisors(C_G4_F81)
-        coprime = [(S, T) for S in sums for T in sums
-                   if S.u.xgcd(T.u)[0].degree == 0]
-        assert coprime
+        one_xgcd = [S for S in sums if _doubling_xgcds(S) == 1]
+        assert one_xgcd
         calls = _count_xgcd(monkeypatch)
-        for S in sums:
+        for S in one_xgcd:
             del calls[:]
             cantor_add(C_G4_F81, S, S)
             assert len(calls) == 1, S
-        for S, T in coprime:
-            del calls[:]
-            cantor_add(C_G4_F81, S, T)
-            assert len(calls) == 1, (S, T)
         del calls[:]
         jacobian._compose(C_G4_F81, sums[0], sums[0])
         assert len(calls) == 2
@@ -438,11 +441,11 @@ class TestCompositionCases:
                 for _ in range(C.g):
                     cases += [(C, multiple, D, 0), (C, D, neg(C, multiple), 0)]
                     if multiple.u.degree >= 2:
-                        cases.append((C, multiple, multiple, 1))
+                        cases.append((C, multiple, multiple, _doubling_xgcds(multiple)))
                     multiple = jacobian._compose(C, multiple, D)
                 cases += [(C, S, D, 0) for S in sums if S.u(P.x) == C.ctx.zero]
-            cases += [(C, S, S, 1) for S in sums]
-        assert {expected for *_, expected in cases} == {0, 1}
+            cases += [(C, S, S, _doubling_xgcds(S)) for S in sums]
+        assert {expected for *_, expected in cases} == {0, 1, 3}
         calls = _count_xgcd(monkeypatch)
         for C, D1, D2, expected in cases:
             del calls[:]
@@ -479,6 +482,35 @@ def test_census_runs_no_general_composition(monkeypatch):
     ok, detail = acceptance.criterion_2_census()
     assert ok, detail
     assert not calls
+
+
+def test_cli_adds_no_two_distinct_divisors_of_higher_degree(monkeypatch, tmp_path):
+    """Every pinned argv of test_cli_digests but selftest's adds a point to
+    a divisor or doubles one, and a pairing round runs no Cantor at all:
+    sums of two distinct divisors of degree >= 2, which take _compose, come
+    only from criterion 8 and the tests."""
+    add = jacobian.cantor_add
+    calls = []
+
+    def recording(C, D1, D2):
+        calls.append(D1 != D2 and D1.u.degree >= 2 and D2.u.degree >= 2)
+        return add(C, D1, D2)
+
+    monkeypatch.setattr(jacobian, "cantor_add", recording)
+    monkeypatch.setenv("COLUMNS", "80")
+    monkeypatch.chdir(tmp_path)
+    test_cli_digests.write_files(tmp_path)
+    total = 0
+    for argv in test_cli_digests.ARGVS:
+        if "selftest" in argv:
+            continue
+        del calls[:]
+        test_cli_digests.digest(argv)
+        assert not any(calls), argv
+        if argv in test_cli_digests.PAIRING_ROUND:
+            assert not calls, argv
+        total += len(calls)
+    assert total > 0
 
 
 # -- a group-order oracle for Cantor: #J from point counts ---------------------
@@ -566,6 +598,20 @@ ORACLE_IDS = ["g1/GF13", "x5+1/GF11", "g2/GF13", "g4/GF81",
               "census-g1a/GF81", "census-g1b/GF81", "census-g4/GF81"]
 
 
+def _count_coprime_compositions(monkeypatch):
+    """Record each _compose call whose operands have coprime supports."""
+    calls = []
+    compose = jacobian._compose
+
+    def counting(C, D1, D2):
+        if D1.u.gcd(D2.u).degree == 0:
+            calls.append(1)
+        return compose(C, D1, D2)
+
+    monkeypatch.setattr(jacobian, "_compose", counting)
+    return calls
+
+
 class TestGroupOrderOracle:
     def test_known_orders(self):
         # genus 1: #J is the number of pairs (x, y) on y^2 = x^3 + 2x + 3,
@@ -579,15 +625,24 @@ class TestGroupOrderOracle:
         assert jacobian_order(C) == 13 ** 2 + 1
 
     @pytest.mark.parametrize("C", ORACLE_CURVES, ids=ORACLE_IDS)
-    def test_order_kills_the_jacobian(self, C):
+    def test_order_kills_the_jacobian(self, C, monkeypatch):
         N, q = jacobian_order(C), C.ctx.order
         assert (q ** 0.5 - 1) ** (2 * C.g) <= N <= (q ** 0.5 + 1) ** (2 * C.g), N
         pts = [P for x0 in C.ctx.elements() for P in points_with_x(C, x0)]
         if C.ctx.order > C.ctx.p:
             pts = _up_to_frobenius_and_sign(C, pts)
         points = [embed(C, P) for P in pts]
-        for D in points + _divisors(C, N, 20):
+        for D in points:
             assert scalar_mul(C, N, D).is_identity, D
+        sums = _divisors(C, N, 20)
+        coprime = _count_coprime_compositions(monkeypatch)
+        for D in sums:
+            assert scalar_mul(C, N, D).is_identity, D
+        # from genus 2 on, these ladders add divisors with coprime supports;
+        # but every affine point of y^2 = x^5 + 1 over GF(11) but (0, +-1)
+        # has order 2, so the one addition of [80]D's ladder, [4]D + D, has
+        # [4]D = 0 or a point
+        assert bool(coprime) == (C.g >= 2 and C is not C_X5_1), C
         for D in points:
             order = exact_order(C, D, N)
             assert order is not None and N % order == 0, D
