@@ -20,9 +20,9 @@ _EXPORTS = {
     "polyring": ("Poly", "diff_power", "is_squarefree", "poly_sqrt"),
     "torsion": ("EnhancedCurve", "PairCert", "SingleCert", "make_pair",
                 "make_single", "recover_pair", "torsion_census", "verify_single"),
-    "families": ("AdmissibleFn", "CoprimeTemplate", "CharTemplate", "eta_roots",
+    "families": ("Template", "char_templates", "check_admissible", "eta_roots",
                  "find_good_mu", "nice_pairs_coprime", "rational_four_torsion",
-                 "symmetry_classes", "upsilon_ij_enum"),
+                 "symmetry_classes"),
     "numth": ("TotientPartition", "hyperelliptic_cert", "hyperelliptic_scan",
               "overq_filter", "totient"),
     "pairing": ("weil_closed", "weil_explicit"),

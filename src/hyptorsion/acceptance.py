@@ -117,7 +117,7 @@ def criterion_4_char_regime():
         mu, cert, enh = find_good_mu(t.g, t.factors(F))
         for pt in (enh.P, enh.Q):
             if exact_order(enh.C, embed(enh.C, pt), 15) != 15:
-                return False, f"oracle order != 15 for upsilon={t.ups.values}"
+                return False, f"oracle order != 15 for upsilon={t.values}"
     return True, "6 upsilon_{I,J} templates, all mu-good with oracle order 15"
 
 

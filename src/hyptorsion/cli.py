@@ -332,12 +332,19 @@ def _check_char_walk(args):
                        f"{MAX_TEMPLATE_WALK} templates")
 
 
+def _family_json(args, t):
+    """A template's JSON in the terms of the walk that --regime names."""
+    if args.regime == "coprime":
+        return {"regime": "coprime", "I": list(t.I)}
+    return {"regime": "char", "upsilon": list(t.values)}
+
+
 def cmd_enumerate_families(args):
     from .families import symmetry_classes
     F = parse_field(args.field, args.seed)
     templates = list(_templates(F, args))
     payload = {"count": len(templates),
-               "families": [t.to_json() for t in templates]}
+               "families": [_family_json(args, t) for t in templates]}
     if args.regime == "coprime":
         payload["symmetry_classes"] = len(symmetry_classes(templates))
     return payload, "family-enumeration"
@@ -355,7 +362,8 @@ def cmd_find_mu(args):
         raise CliError("bad-args", f"--index out of range (have {have})")
     t = head[-1]
     mu, cert, enh = find_good_mu(args.g, t.factors(F))
-    return {"family": t.to_json(mu=mu, F=F), "curve": enh.C.to_json(),
+    return {"family": {**_family_json(args, t), "mu": F.elem_to_json(mu)},
+            "curve": enh.C.to_json(),
             "P": enh.P.to_json(F), "Q": enh.Q.to_json(F)}, "good-mu-scan"
 
 
@@ -401,8 +409,7 @@ def cmd_census(args):
 
 
 def cmd_weil(args):
-    from .families import (CoprimeTemplate, family_pair, find_good_mu,
-                           nice_pairs_coprime)
+    from .families import Template, family_pair, find_good_mu, nice_pairs_coprime
     from .pairing import weil_closed, weil_explicit
     F = parse_field(args.field, args.seed)
     _check_genus(args.g)
@@ -414,7 +421,8 @@ def cmd_weil(args):
     labels = next(nice_pairs_coprime(F, args.g)).labels
     if len(I) != args.g or list(I) != sorted(set(I) & set(range(2 * args.g))):
         raise CliError("bad-args", f"no coprime template with I = {I}")
-    factors = CoprimeTemplate(labels, I).factors(F)
+    values = tuple(int(i in I) for i in range(2 * args.g))
+    factors = Template(labels, values).factors(F)
     if args.mu is not None:
         mu = parse_elem(F, args.mu)
         if mu == F.zero:

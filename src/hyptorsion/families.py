@@ -2,13 +2,14 @@
 
 Normalized curves with two marked points of order n = 2g+1 come from
 factorizations u1*u2 = (x+1)^n - x^n: family_pair builds the certificate and
-curve of (u1, u2) = (mu*A, B/mu) for a template's factor pair (A, B).  When
-the characteristic is prime to n, A is the product of (x - eta(eps)) over a
-g-element subset of the nontrivial n-th roots of unity and B is n times the
-product over the rest; when n = p^k(2l+1) in characteristic p the
-multiplicities follow an admissible exponent function on M(2l+1).  The free
-scalar mu is the first one whose curve is squarefree, and the rational
-genus-52 construction splits the Psi_d (1 < d | n) by totient sums.
+curve of (u1, u2) = (mu*A, B/mu) for a template's factor pair (A, B).  A
+template is an exponent function v on the nontrivial (2l+1)-th roots of unity
+M(2l+1), n = q(2l+1): A is the product of (x - eta(eps))^v(eps) and B is 2l+1
+times that of (x - eta(eps))^(q - v(eps)).  In characteristic p dividing n,
+q = p^k and v is admissible; when the characteristic is prime to n, q = 1 and
+v is the indicator of a g-element subset of M(n).  The free scalar mu is the
+first one whose curve is squarefree, and the rational genus-52 construction
+splits the Psi_d (1 < d | n) by totient sums.
 """
 
 from __future__ import annotations
@@ -63,107 +64,81 @@ def _linear_product(F, labels, multiplicity, c=1):
 
 
 @dataclass(frozen=True)
-class CoprimeTemplate:
-    """Pair (H_I, (2g+1) * H_complement(I)), H_S = prod of x - eta over S."""
+class Template:
+    """The factor pair (Upsilon, (2l+1) * Upsilon_bar) of an exponent function
+    on M(2l+1) for n = q(2l+1): Upsilon is the product of (x - eta)^v over
+    the eta labels, Upsilon_bar that of (x - eta)^(q - v).  At q = 1 the
+    values are the indicator of a g-subset I."""
 
     labels: tuple
-    I: tuple
+    values: tuple
+    q: int = 1
 
     @property
     def g(self):
-        return len(self.I)
+        return (self.q * (len(self.labels) + 1) - 1) // 2
 
     @property
-    def complement(self):
-        in_I = set(self.I)
-        return tuple(i for i in range(len(self.labels)) if i not in in_I)
+    def I(self):
+        """The labels where v exceeds q/2: the set I of an upsilon_{I,J}."""
+        return tuple(i for i, v in enumerate(self.values) if 2 * v > self.q)
+
+    @property
+    def bar(self):
+        return Template(self.labels, tuple(self.q - v for v in self.values), self.q)
 
     def class_key(self):
-        """Symmetry-class representative: {I, complement} as an unordered pair."""
-        return frozenset((self.I, self.complement))
+        """Symmetry-class representative: {values, bar} as an unordered pair."""
+        return frozenset((self.values, self.bar.values))
 
     def factors(self, F):
-        in_I = [int(i in self.I) for i in range(len(self.labels))]
-        return (_linear_product(F, self.labels, in_I),
-                _linear_product(F, self.labels, [1 - m for m in in_I],
-                                2 * self.g + 1))
+        return (_linear_product(F, self.labels, self.values),
+                _linear_product(F, self.labels, [self.q - v for v in self.values],
+                                len(self.labels) + 1))
 
-    def to_json(self, mu=None, F=None):
-        out = {"regime": "coprime", "I": list(self.I)}
-        if mu is not None:
-            out["mu"] = F.elem_to_json(mu)
-        return out
+
+def _subset_templates(labels, q):
+    """The C(2l, l) templates taking (q+1)/2 on an l-subset I of the 2l labels
+    and (q-1)/2 off it, in subset order; for odd q all are admissible."""
+    m = len(labels)
+    hi, lo = (q + 1) // 2, (q - 1) // 2
+    for I in itertools.combinations(range(m), m // 2):
+        yield Template(labels, tuple(hi if i in I else lo for i in range(m)), q)
 
 
 def nice_pairs_coprime(F, g):
-    """All C(2g, g) coprime-regime templates over F, in subset order."""
+    """All C(2g, g) coprime-regime templates over F: the subset walk at q = 1."""
     n = 2 * g + 1
     if F.char and n % F.char == 0:
         raise FieldError(f"characteristic {F.char} divides 2g+1 = {n}")
-    labels = tuple(eta_roots(F, n))
-    for I in itertools.combinations(range(2 * g), g):
-        yield CoprimeTemplate(labels, I)
+    yield from _subset_templates(tuple(eta_roots(F, n)), 1)
 
 
 def symmetry_classes(templates):
     """Group templates into curve families: (u1,u2) swaps and sign flips
-    identify I with its complement, so each class is {I, complement(I)}."""
+    identify a template with its bar, so each class is {values, bar}."""
     classes = {}
     for t in templates:
         classes.setdefault(t.class_key(), []).append(t)
     return list(classes.values())
 
 
-@dataclass(frozen=True)
-class AdmissibleFn:
-    """Exponent function on M(2l+1) for n = p^k(2l+1) in characteristic p."""
-
-    p: int
-    k: int
-    l: int
-    values: tuple
-
-    def __post_init__(self):
-        _check_k(self.k)
-        q = self.p ** self.k
-        g = (q * (2 * self.l + 1) - 1) // 2
-        if len(self.values) != 2 * self.l:
-            raise ValueError(f"need {2 * self.l} values, got {len(self.values)}")
-        if any(v < 0 or v > q for v in self.values):
-            raise ValueError(f"values must lie in [0, {q}]")
-        if all(v % self.p == 0 for v in self.values):
-            raise ValueError("some value must be nonzero mod p")
-        if sum(self.values) > g:
-            raise ValueError("deg upsilon exceeds g")
-        if sum(q - v for v in self.values) > g:
-            raise ValueError("deg of the complementary function exceeds g")
-
-    @property
-    def bar(self):
-        q = self.p ** self.k
-        return AdmissibleFn(self.p, self.k, self.l, tuple(q - v for v in self.values))
-
-
-def admissible_enum(F, p, k, l):
-    """All admissible exponent functions for n = p^k(2l+1) over F."""
-    _check_char_regime(F, p, k, l)
+def check_admissible(p, k, l, values):
+    """Refuse values that are no admissible exponent function on M(2l+1) for
+    n = p^k(2l+1) in characteristic p."""
+    _check_k(k)
     q = p ** k
-    for values in itertools.product(range(q + 1), repeat=2 * l):
-        try:
-            yield AdmissibleFn(p, k, l, values)
-        except ValueError:
-            continue
-
-
-def upsilon_ij_enum(F, p, k, l):
-    """The C(2l, l) functions taking (p^k+1)/2 on a set I and (p^k-1)/2 on
-    its complement J; all are admissible."""
-    _check_char_regime(F, p, k, l)
-    q = p ** k
-    hi, lo = (q + 1) // 2, (q - 1) // 2
-    for I in itertools.combinations(range(2 * l), l):
-        values = tuple(hi if i in I else lo for i in range(2 * l))
-        yield AdmissibleFn(p, k, l, values)
+    g = (q * (2 * l + 1) - 1) // 2
+    if len(values) != 2 * l:
+        raise ValueError(f"need {2 * l} values, got {len(values)}")
+    if any(v < 0 or v > q for v in values):
+        raise ValueError(f"values must lie in [0, {q}]")
+    if all(v % p == 0 for v in values):
+        raise ValueError("some value must be nonzero mod p")
+    if sum(values) > g:
+        raise ValueError("deg upsilon exceeds g")
+    if sum(q - v for v in values) > g:
+        raise ValueError("deg of the complementary function exceeds g")
 
 
 def _check_k(k):
@@ -171,44 +146,26 @@ def _check_k(k):
         raise ValueError(f"k must be >= 0, got {k}")
 
 
-def _check_char_regime(F, p, k, l):
+def char_templates(F, p, k, l, ij_only=True):
+    """Templates for n = p^k(2l+1) over F of characteristic p: the
+    upsilon_{I,J} subset walk at q = p^k, or with ij_only false every
+    admissible exponent function, in tuple order."""
+    labels = tuple(eta_roots(F, 2 * l + 1))
     _check_k(k)
     if F.char != p:
         raise FieldError(f"field characteristic {F.char} != p = {p}")
     if (2 * l + 1) % p == 0:
         raise FieldError(f"p = {p} must not divide 2l+1 = {2 * l + 1}")
-
-
-@dataclass(frozen=True)
-class CharTemplate:
-    """The pair (Upsilon, (2l+1) * Upsilon_bar), Upsilon the product of
-    (x - eta)^upsilon over the eta labels of M(2l+1)."""
-
-    ups: AdmissibleFn
-    labels: tuple
-
-    @property
-    def g(self):
-        q = self.ups.p ** self.ups.k
-        return (q * (2 * self.ups.l + 1) - 1) // 2
-
-    def factors(self, F):
-        return (_linear_product(F, self.labels, self.ups.values),
-                _linear_product(F, self.labels, self.ups.bar.values,
-                                2 * self.ups.l + 1))
-
-    def to_json(self, mu=None, F=None):
-        out = {"regime": "char", "upsilon": list(self.ups.values)}
-        if mu is not None:
-            out["mu"] = F.elem_to_json(mu)
-        return out
-
-
-def char_templates(F, p, k, l, ij_only=True):
-    labels = tuple(eta_roots(F, 2 * l + 1))
-    source = upsilon_ij_enum(F, p, k, l) if ij_only else admissible_enum(F, p, k, l)
-    for ups in source:
-        yield CharTemplate(ups, labels)
+    q = p ** k
+    if ij_only:
+        yield from _subset_templates(labels, q)
+        return
+    for values in itertools.product(range(q + 1), repeat=2 * l):
+        try:
+            check_admissible(p, k, l, values)
+        except ValueError:
+            continue
+        yield Template(labels, values, q)
 
 
 def mu_candidates(F):

@@ -26,9 +26,11 @@ from .torsion import CertError, PairCert, curve_poly
 def weil_explicit(cert: PairCert):
     """The pairing e = e2^{g+1} of the marked points, evaluated through the
     g_P/g_Q functions at the Weierstrass points of f; returned in the field
-    of cert's u1, u2."""
+    of cert's u1, u2.  A cert at other abscissas is refused."""
     F, g = cert.u1.ctx, cert.g
     n = 2 * g + 1
+    if cert.a1 != F.zero or cert.a2 != F.neg(F.one):
+        raise CertError("the pairing functions need the abscissas a1 = 0, a2 = -1")
     if F.char and n % F.char == 0:
         raise FieldError("pairing requires characteristic prime to 2g+1")
     v1, v2 = cert.v_polys()

@@ -143,8 +143,30 @@ class TestCommands:
         code, out = run(capsys, [
             "find-mu", "--field", "GF:11", "--g", "2", "--index", "0"])
         assert code == 0
+        assert out["payload"]["family"]["regime"] == "coprime"
         assert out["payload"]["family"]["I"] == [0, 1]
         assert "mu" in out["payload"]["family"]
+
+    def test_enumerate_families_char_regime(self, capsys):
+        code, out = run(capsys, [
+            "enumerate-families", "--field", "GF:3,4", "--g", "7", "--regime",
+            "char", "--p", "3", "--k", "1", "--l", "2"])
+        assert code == 0 and out["payload"]["count"] == 6
+        for j in out["payload"]["families"]:
+            assert j["regime"] == "char" and sorted(j["upsilon"]) == [1, 1, 2, 2]
+
+    def test_find_mu_char_regime_at_k_zero_is_the_coprime_walk(self, capsys):
+        # q = 11^0 = 1: upsilon is the indicator of I, the curve the same
+        find_mu = ["find-mu", "--field", "GF:11", "--g", "2", "--index", "3"]
+        _, coprime = run(capsys, find_mu)
+        _, char = run(capsys, find_mu + ["--regime", "char", "--p", "11",
+                                         "--k", "0", "--l", "2"])
+        assert coprime["payload"]["family"] == {"regime": "coprime", "I": [1, 2],
+                                                "mu": 3}
+        assert char["payload"]["family"] == {"regime": "char",
+                                             "upsilon": [0, 1, 1, 0], "mu": 3}
+        for key in ("curve", "P", "Q"):
+            assert char["payload"][key] == coprime["payload"][key]
 
     def test_weil(self, capsys):
         code, out = run(capsys, [
@@ -737,9 +759,14 @@ def test_weil_mu_refuses_what_construct_pair_refuses(capsys, I, mu):
 
 def test_find_mu_builds_the_templates_up_to_its_index(capsys, monkeypatch):
     from hyptorsion import families
-    built, template = [], families.CoprimeTemplate
-    monkeypatch.setattr(families, "CoprimeTemplate",
-                        lambda labels, I: built.append(I) or template(labels, I))
+    built, template = [], families.Template
+
+    def build(*args):
+        t = template(*args)
+        built.append(t.I)
+        return t
+
+    monkeypatch.setattr(families, "Template", build)
     find_mu = ["find-mu", "--field", "GF:11", "--g", "2", "--index"]
     code, out = run(capsys, find_mu + ["1"])
     assert (code, out["payload"]["family"]["I"]) == (0, [0, 2])

@@ -97,6 +97,14 @@ CALLS = [
     ["enumerate-families", "--field", "GF:3,4", "--g", "7", "--regime", "char",
      "--p", "3", "--k", "1", "--l", "2", "--all-admissible"],
     ["find-mu", "--field", "GF:11", "--g", "2", "--index", "1"],
+    # the coprime regime is the char regime at k = 0
+    ["enumerate-families", "--field", "GF:11", "--g", "2", "--regime", "char",
+     "--p", "11", "--k", "0", "--l", "2"],
+    ["enumerate-families", "--field", "GF:11", "--g", "2", "--regime", "char",
+     "--p", "11", "--k", "0", "--l", "2", "--all-admissible"],
+    ["find-mu", "--field", "GF:11", "--g", "2", "--regime", "char", "--p", "11",
+     "--k", "0", "--l", "2", "--index", "3"],
+    ["find-mu", "--field", "GF:11", "--g", "2", "--index", "3"],
     ["rational-g52"],
     ["rational-g52", "--g", "82"],
     ["rational-g52", "--g", "262"],

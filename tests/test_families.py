@@ -1,13 +1,13 @@
+import math
 from fractions import Fraction
 
 import pytest
 
 from hyptorsion import families
-from hyptorsion.families import (AdmissibleFn, CharTemplate, RootLabel,
-                                 admissible_enum, char_templates, eta_roots,
-                                 family_pair, find_good_mu, mu_candidates,
-                                 nice_pairs_coprime, rational_four_torsion,
-                                 symmetry_classes, upsilon_ij_enum)
+from hyptorsion.families import (RootLabel, Template, char_templates,
+                                 check_admissible, eta_roots, family_pair,
+                                 find_good_mu, mu_candidates, nice_pairs_coprime,
+                                 rational_four_torsion, symmetry_classes)
 from hyptorsion.fields import (ExtField, FieldError, InsufficientFieldError,
                                PrimeField, Rationals, nth_roots_of_unity)
 from hyptorsion.jacobian import embed, exact_order
@@ -72,55 +72,67 @@ class TestCoprimeTemplates:
                 assert exact_order(enh.C, embed(enh.C, P), 5) == 5
                 assert verify_single(enh.C, P) is not None
 
-    def test_family_json(self):
-        t = next(iter(nice_pairs_coprime(F11, 2)))
-        mu, _, _ = find_good_mu(2, t.factors(F11))
-        j = t.to_json(mu=mu, F=F11)
-        assert j["regime"] == "coprime" and j["I"] == [0, 1] and "mu" in j
+
+class TestCoprimeIsCharAtKZero:
+    """The coprime regime is the char regime at q = p^0 = 1, where the
+    upsilon_{I,J} values are 1 on I and 0 off it."""
+
+    @pytest.mark.parametrize("F, g", [(F11, 2), (PrimeField(29), 3),
+                                      (ExtField(11, 3), 3)])
+    def test_same_templates_in_the_same_order(self, F, g):
+        coprime = list(nice_pairs_coprime(F, g))
+        char = list(char_templates(F, F.char, 0, g))
+        assert len(coprime) == math.comb(2 * g, g) and char == coprime
+        assert [t.factors(F) for t in char] == [t.factors(F) for t in coprime]
+        admissible = list(char_templates(F, F.char, 0, g, ij_only=False))
+        assert len(admissible) == len(coprime)
+        assert {t.values for t in admissible} == {t.values for t in coprime}
 
 
 class TestAdmissible:
     def test_validation(self):
-        with pytest.raises(ValueError):
-            AdmissibleFn(3, 1, 2, (3, 3, 3, 3))  # all zero mod 3
-        with pytest.raises(ValueError):
-            AdmissibleFn(3, 1, 2, (4, 0, 0, 0))  # value above p^k
-        with pytest.raises(ValueError):
-            AdmissibleFn(3, 1, 2, (2, 2, 2, 2))  # degree exceeds g = 7
+        with pytest.raises(ValueError, match="some value must be nonzero mod p"):
+            check_admissible(3, 1, 2, (3, 3, 3, 3))  # all zero mod 3
+        with pytest.raises(ValueError, match=r"values must lie in \[0, 3\]"):
+            check_admissible(3, 1, 2, (4, 0, 0, 0))  # value above p^k
+        with pytest.raises(ValueError, match="deg upsilon exceeds g"):
+            check_admissible(3, 1, 2, (2, 2, 2, 2))  # degree exceeds g = 7
 
     def test_bar_admissible(self):
-        for ups in upsilon_ij_enum(ExtField(3, 4), 3, 1, 2):
-            bar = ups.bar
-            assert bar.bar == ups
+        for t in char_templates(ExtField(3, 4), 3, 1, 2):
+            bar = t.bar
+            check_admissible(3, 1, 2, bar.values)
+            assert bar.bar == t
 
     def test_ij_values(self):
         E = ExtField(3, 4)
-        fns = list(upsilon_ij_enum(E, 3, 1, 2))
-        assert len(fns) == 6
-        for ups in fns:
-            assert sorted(ups.values) == [1, 1, 2, 2]
+        temps = list(char_templates(E, 3, 1, 2))
+        assert len(temps) == 6
+        for t in temps:
+            assert sorted(t.values) == [1, 1, 2, 2]
 
     def test_ij_subset_of_admissible(self):
-        E = ExtField(3, 4)
-        all_fns = {f.values for f in admissible_enum(E, 3, 1, 2)}
-        for ups in upsilon_ij_enum(E, 3, 1, 2):
-            assert ups.values in all_fns
+        # the subset walk runs no admissibility check of its own
+        for E, p, k, l in ((ExtField(3, 4), 3, 1, 2), (ExtField(5, 2), 5, 1, 1)):
+            all_fns = {t.values for t in char_templates(E, p, k, l, ij_only=False)}
+            for t in char_templates(E, p, k, l):
+                assert t.values in all_fns
 
     def test_negative_k_rejected(self):
         F7 = PrimeField(7)
         with pytest.raises(ValueError, match="k must be >= 0, got -1"):
-            AdmissibleFn(7, -1, 1, (0, 1))
-        for enum in (upsilon_ij_enum, admissible_enum):
+            check_admissible(7, -1, 1, (0, 1))
+        for ij_only in (True, False):
             with pytest.raises(ValueError, match="k must be >= 0, got -1"):
-                list(enum(F7, 7, -1, 1))
+                list(char_templates(F7, 7, -1, 1, ij_only=ij_only))
         with pytest.raises(ValueError, match="k must be >= 0"):
             list(char_templates(F7, 7, -2, 1, ij_only=False))
 
     def test_char_mismatch_rejected(self):
-        with pytest.raises(FieldError):
-            list(upsilon_ij_enum(F11, 3, 1, 2))
-        with pytest.raises(FieldError):
-            list(upsilon_ij_enum(PrimeField(3), 3, 1, 4))  # 3 | 2l+1
+        with pytest.raises(FieldError, match="field characteristic 11 != p = 3"):
+            list(char_templates(F11, 3, 1, 2))
+        with pytest.raises(FieldError, match="divisible by the characteristic 3"):
+            list(char_templates(PrimeField(3), 3, 1, 4))  # 3 | 2l+1
 
 
 class TestCharRegime:
@@ -129,12 +141,10 @@ class TestCharRegime:
         temps = list(char_templates(E, 3, 1, 2))
         assert len(temps) == 6
         for t in temps:
-            assert t.g == 7
+            assert t.g == 7 and len(t.I) == 2
             mu, cert, enh = find_good_mu(7, t.factors(E))
             D = embed(enh.C, enh.P)
             assert exact_order(enh.C, D, 15) == 15
-            j = t.to_json(mu=mu, F=E)
-            assert j["regime"] == "char" and sorted(j["upsilon"]) == [1, 1, 2, 2]
 
     def test_perturbed_labels_exhaust_the_scan(self):
         # u1*u2 misses (x+1)^15 - x^15 for every mu; PairCert refuses each one
@@ -143,7 +153,7 @@ class TestCharRegime:
         eps, eta = t.labels[0].eps, t.labels[0].eta
         labels = (RootLabel(eps, E.add(eta, E.one)),) + t.labels[1:]
         with pytest.raises(InsufficientFieldError):
-            find_good_mu(7, CharTemplate(t.ups, labels).factors(E))
+            find_good_mu(7, Template(labels, t.values, t.q).factors(E))
 
 
 class TestRationalFamilies:

@@ -121,7 +121,27 @@ class TestWIndependence:
 
         cert = _family_cert(F11, 2, (0, 1))
         moved = PairCert(2, F11.zero, F11.one, flip(cert.u1), -flip(cert.u2))
-        with pytest.raises(CertError, match="fails mod f"):
+        with pytest.raises(CertError, match="abscissas a1 = 0, a2 = -1"):
+            weil_explicit(moved)
+
+    def test_rejects_a_move_that_passes_the_checks_mod_f(self):
+        # x -> 4x + 3 with u_i(4x + 3)/2^5 takes the GF(31) I = (2, 3)
+        # certificate at (0, -1) to a valid one at (7, -1) that passes both
+        # checks mod f; read at 0 and -1 rather than at 7, the formulas
+        # would give 16 for the pairing 8.
+        F = PrimeField(31)
+        line, scale = Poly(F, [3, 4]), F.inv(F.coerce(2 ** 5))
+
+        def move(u):    # u(4x + 3) / 2^5
+            acc = Poly.zero(F)
+            for c in reversed(u.coeffs):
+                acc = acc * line + Poly.const(F, c)
+            return acc.scale(scale)
+
+        cert = _family_cert(F, 2, (2, 3))
+        assert weil_explicit(cert) == weil_closed(F, 2, (2, 3)) == 8
+        moved = PairCert(2, F.coerce(7), F.neg(F.one), move(cert.u1), move(cert.u2))
+        with pytest.raises(CertError, match="abscissas a1 = 0, a2 = -1"):
             weil_explicit(moved)
 
     def test_no_base_root_matches_closed(self):
