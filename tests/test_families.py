@@ -1,9 +1,11 @@
 import math
+from argparse import Namespace
 from fractions import Fraction
 
 import pytest
 
 from hyptorsion import families
+from hyptorsion.cli import _family_json
 from hyptorsion.families import (RootLabel, Template, char_templates,
                                  check_admissible, eta_roots, family_pair,
                                  find_good_mu, mu_candidates, nice_pairs_coprime,
@@ -71,6 +73,14 @@ class TestCoprimeTemplates:
             for P in (enh.P, enh.Q):
                 assert exact_order(enh.C, embed(enh.C, P), 5) == 5
                 assert verify_single(enh.C, P) is not None
+
+    def test_family_json(self):
+        # templates carry no regime; the CLI names it from --regime
+        t = next(iter(nice_pairs_coprime(F11, 2)))
+        mu, _, _ = find_good_mu(2, t.factors(F11))
+        j = {**_family_json(Namespace(regime="coprime"), t),
+             "mu": F11.elem_to_json(mu)}
+        assert j["regime"] == "coprime" and j["I"] == [0, 1] and "mu" in j
 
 
 class TestCoprimeIsCharAtKZero:
