@@ -183,7 +183,7 @@ def criterion_7_pairing():
 
 
 def _random_poly(rng, F, max_deg):
-    return Poly(F, [F.from_index(rng.randrange(F.order))
+    return Poly(F, [rng.randrange(F.order)
                     for _ in range(rng.randrange(1, max_deg + 2))])
 
 
@@ -211,7 +211,7 @@ def _property_roundtrip(rng):
         F, g = setups[done % len(setups)]
         templates = list(nice_pairs_coprime(F, g))
         t = templates[rng.randrange(len(templates))]
-        mu = F.from_index(rng.randrange(1, F.order))
+        mu = rng.randrange(1, F.order)
         try:
             cert, enh = family_pair(g, t.factors(F), mu)
         except (CertError, CurveError):
@@ -262,8 +262,8 @@ def _property_diff_power(rng):
         if F.char and n % F.char == 0:
             continue
         if F.is_finite:
-            a1 = F.from_index(rng.randrange(F.order))
-            a2 = F.from_index(rng.randrange(F.order))
+            a1 = rng.randrange(F.order)
+            a2 = rng.randrange(F.order)
         else:
             a1 = F.coerce(rng.randrange(-20, 21))
             a2 = F.coerce(rng.randrange(-20, 21))

@@ -154,8 +154,6 @@ def char_templates(F, p, k, l, ij_only=True):
     _check_k(k)
     if F.char != p:
         raise FieldError(f"field characteristic {F.char} != p = {p}")
-    if (2 * l + 1) % p == 0:
-        raise FieldError(f"p = {p} must not divide 2l+1 = {2 * l + 1}")
     q = p ** k
     if ij_only:
         yield from _subset_templates(labels, q)
@@ -169,11 +167,10 @@ def char_templates(F, p, k, l, ij_only=True):
 
 
 def mu_candidates(F):
-    """Deterministic scan order of the nonzero mu: field enumeration order
-    (from index 1) for GF, 1, -1, 2, -2, ... for Q."""
+    """Deterministic scan order of the nonzero mu: the elements 1 .. q-1 of
+    GF(q), in canonical order; 1, -1, 2, -2, ... for Q."""
     if F.is_finite:
-        for i in range(1, F.order):
-            yield F.from_index(i)
+        yield from range(1, F.order)
     else:
         n = 1
         while True:

@@ -1,12 +1,11 @@
 """Exact field arithmetic: Q, GF(p) and GF(p^m) for odd primes p.
 
 Field contexts are immutable and shareable; elements are plain canonical
-values (Fraction for Q, ints for finite fields), so equality of elements is
-equality of representations.  A GF(p) element is its least nonnegative
-residue; a GF(p^m) element is its index sum(c_j p^j) over the coefficients
-c_j of its residue polynomial, so index order is canonical order.  Up to
-_TABLE_MAX elements, GF(p^m) arithmetic is exp/log/Zech-logarithm table
-lookup; above it, each operation reduces modulo the defining polynomial.
+values, so equality of elements is equality of representations.  An element
+of Q is a Fraction; the elements of a finite field of order q are the ints
+0 .. q-1 (`FiniteFieldMixin` states the contract).  Up to _TABLE_MAX
+elements, GF(p^m) arithmetic is exp/log/Zech-logarithm table lookup; above
+it, each operation reduces modulo the defining polynomial.
 
 Each field also owns the arithmetic of polynomials over it, on coefficient
 sequences (`poly_add`, ..., `poly_invmod`): GF(p) and GF(p^m) run the
@@ -379,9 +378,12 @@ class Rationals(Field):
         return f"{a.numerator}/{a.denominator}"
 
     def elem_from_json(self, obj):
-        if isinstance(obj, str) or _is_json_int(obj):
+        if not (isinstance(obj, str) or _is_json_int(obj)):
+            raise ValueError(f"cannot parse rational from {obj!r}")
+        try:
             return Fraction(obj)
-        raise ValueError(f"cannot parse rational from {obj!r}")
+        except ZeroDivisionError:
+            raise ValueError(f"zero denominator in {obj!r}") from None
 
     def to_json(self):
         return {"kind": "Q"}
@@ -471,20 +473,22 @@ def _zz_prem(a, b):
 
 
 class FiniteFieldMixin:
-    """Shared square-root / enumeration logic for GF(p) and GF(p^m), whose
-    elements are the ints 0 .. order-1 in canonical order."""
+    """The element contract of GF(p) and GF(p^m): the elements of a field of
+    order q are the ints 0 .. q-1, and int order is canonical order.  A GF(p)
+    element is its least nonnegative residue; a GF(p^m) element is the index
+    sum(c_j p^j) of its residue polynomial sum(c_j x^j) modulo the defining
+    polynomial.  So zero is 0, one is 1, the integer n coerces to n mod p,
+    and elements() is range(q); the square roots and canonical signs below
+    rest on this."""
 
     is_finite = True
+
+    def coerce(self, n):
+        return n % self.p
 
     def elements(self):
         """All field elements in canonical order."""
         return range(self.order)
-
-    def from_index(self, i):
-        return i
-
-    def to_index(self, a):
-        return a
 
     def canonical_min(self, a):
         return min(a, self.neg(a))
@@ -524,7 +528,7 @@ class FiniteFieldMixin:
 
 
 class PrimeField(FiniteFieldMixin, Field):
-    """GF(p), p an odd prime; elements are least nonnegative residues."""
+    """GF(p), p an odd prime."""
 
     def __init__(self, p):
         if p == 2:
@@ -536,9 +540,6 @@ class PrimeField(FiniteFieldMixin, Field):
         self.order = p
         self.zero = 0
         self.one = 1
-
-    def coerce(self, n):
-        return n % self.p
 
     def add(self, a, b):
         return (a + b) % self.p
@@ -691,8 +692,7 @@ def _build_tables(p, modulus):
 
 
 class ExtField(FiniteFieldMixin, Field):
-    """GF(p^m); an element is the index sum(c_j p^j) of its residue
-    polynomial sum(c_j x^j) modulo the defining polynomial."""
+    """GF(p^m), p an odd prime and m >= 1."""
 
     def __init__(self, p, m, modulus=None, seed=0):
         self._base = PrimeField(p)      # refuses p = 2 and a composite p
@@ -718,9 +718,6 @@ class ExtField(FiniteFieldMixin, Field):
         self._exp = self._log = self._zech = self._neg = None
         if self.order <= _TABLE_MAX:
             self._exp, self._log, self._zech, self._neg = _build_tables(p, self.modulus)
-
-    def coerce(self, n):
-        return n % self.p
 
     def add(self, a, b):
         if not a:
@@ -755,8 +752,7 @@ class ExtField(FiniteFieldMixin, Field):
 
     def neg(self, a):
         if self._neg is None:
-            p = self.p
-            return _index(self._base.poly_sub([], _digits(a, p)), p)
+            return self.sub(0, a)
         return self._neg[a]
 
     def inv(self, a):
@@ -864,11 +860,10 @@ def _roots_of_unity(F, n):
     # z^((q-1)/n) is a primitive n-th root for z = 1, 2, ... soon enough;
     # the least one is then the least of its powers prime to n.
     for i in range(1, q):
-        zeta = F.pow_el(F.from_index(i), (q - 1) // n)
+        zeta = F.pow_el(i, (q - 1) // n)
         if order_from_multiple(n, lambda m: F.pow_el(zeta, m) == F.one) == n:
             break
-    zeta = min((F.pow_el(zeta, k) for k in range(1, n) if math.gcd(k, n) == 1),
-               key=F.to_index)
+    zeta = min(F.pow_el(zeta, k) for k in range(1, n) if math.gcd(k, n) == 1)
     roots, acc = [], F.one
     for _ in range(n - 1):
         acc = F.mul(acc, zeta)

@@ -42,8 +42,7 @@ def test_criterion(name, fn, capsys):
 def _random_curves(F, g, count, rng):
     curves = []
     while len(curves) < count:
-        f = Poly(F, [F.from_index(rng.randrange(F.order))
-                     for _ in range(2 * g + 1)] + [F.one])
+        f = Poly(F, [rng.randrange(F.order) for _ in range(2 * g + 1)] + [F.one])
         try:
             curves.append(Curve(F, g, f))
         except NotSquarefreeError:

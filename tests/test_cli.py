@@ -913,6 +913,23 @@ def test_malformed_element_is_bad_elem(capsys, argv):
     assert (code, out["code"]) == (1, "bad-elem"), out
 
 
+@pytest.mark.parametrize("argv", [
+    ["construct-single", "--field", "Q", "--g", "2", "--a", "0", "--v", '["1/0"]'],
+    ["verify", "--field", "Q", "--g", "2", "--curve", '["1/0",0,0,0,0,1]',
+     "--point", "(0,1)"],
+    ["construct-pair", "--field", "Q", "--g", "2", "--a1", "0", "--a2", "-1",
+     "--u1", '["1/0",1,1]', "--u2", "[1,1,1]"],
+    ["verify", "--curve", "zero-denominator.json", "--point", "(0,1)"]])
+def test_json_rational_with_zero_denominator_is_refused(capsys, tmp_path, monkeypatch,
+                                                        argv):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "zero-denominator.json").write_text(
+        '{"field": {"kind": "Q"}, "g": 2, "f": ["1/0", 0, 0, 0, 0, 1]}')
+    code, out = run(capsys, argv)
+    assert (code, out["status"], out["code"]) == (1, "error", "ValueError"), out
+    assert out["message"] == "zero denominator in '1/0'"
+
+
 # -- success payloads of construct-pair, weil --mu and rational-g52 -----------
 
 def test_construct_pair_payload(capsys):

@@ -30,7 +30,8 @@ from hyptorsion import cli
 
 DIGESTS = Path(__file__).with_name("cli_digests.json")
 PYTHON = "%d.%d" % sys.version_info[:2]
-FILES = {"truncated.json": '{"field": {"kind": "GF", "p": 11}, "g"'}
+FILES = {"truncated.json": '{"field": {"kind": "GF", "p": 11}, "g"',
+         "zero-denominator.json": '{"field": {"kind": "Q"}, "g": 2, "f": ["1/0", 1]}'}
 
 HELP = [
     ["-h"],
@@ -121,6 +122,12 @@ CALLS = [
     ["weil", "--field", "GF:29,2", "--g", "2", "--I", "0,1"],
     ["weil", "--field", "GF:29,2", "--g", "2", "--I", "0,2", "--mu", "[3,1]"],
     ["weil", "--field", "GF:29", "--g", "3", "--I", "0,2,4", "--mu", "5"],
+    # untabled GF(3^9) arithmetic under Cantor, and Poly.__pow__'s
+    # square-and-multiply branch
+    ["verify", "--field", "GF:3,9", "--g", "1", "--curve", "x^3+(x+1)^2",
+     "--point", "(0,1)", "--oracle"],
+    ["verify", "--field", "GF:11", "--g", "2", "--curve", "(x^2+1)^2*x+1",
+     "--point", "(0,1)", "--oracle"],
     ["hyperelliptic", "--max", "120", "--json-out", "out.json"],
     ["hyperelliptic", "--n", "5", "--json-out", "missing/out.json"],
 ]
@@ -128,8 +135,18 @@ CALLS = [
 # error envelopes: malformed input and the bounds
 ERRORS = [
     ["verify", "--field", "Q", "--g", "2", "--curve", "x^5+1", "--point", "(1/0,1)"],
+    # a JSON rational with a zero denominator
+    ["construct-single", "--field", "Q", "--g", "2", "--a", "0", "--v", '["1/0"]'],
+    ["verify", "--field", "Q", "--g", "2", "--curve", '["1/0",0,0,0,0,1]',
+     "--point", "(0,1)"],
+    ["construct-pair", "--field", "Q", "--g", "2", "--a1", "0", "--a2", "-1",
+     "--u1", '["1/0",1,1]', "--u2", "[1,1,1]"],
+    ["verify", "--curve", "zero-denominator.json", "--point", "(0,1)"],
     ["verify", "--field", "GF:11", "--g", "2", "--curve", "x^5+1", "--point", "(0,2)"],
     ["verify", "--curve", "missing.json", "--point", "(0,1)"],
+    # a curve over Q whose gcd with f' the modular images cannot settle
+    ["verify", "--field", "Q", "--g", "2", "--curve", "(x+1)^2*(x^3+2)",
+     "--point", "(0,1)"],
     ["verify", "--field", "GF:318665857834031151167461", "--g", "2",
      "--curve", "x^5+1", "--point", "(0,1)"],
     ["construct-single", "--field", "GF(11)", "--g", "1", "--a", "0", "--v", "1"],

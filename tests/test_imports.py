@@ -1,6 +1,6 @@
 """What `import hyptorsion.cli` loads, the package's lazy re-exports, that
-every import is used and every definition named, and what `setup.py build`
-puts in the package."""
+every import is used, every definition named and no library invariant an
+`assert`, and what `setup.py build` puts in the package."""
 
 import ast
 import builtins
@@ -178,6 +178,33 @@ def test_dead_definition_check_sees_each_kind(tmp_path):
     assert _dead_definitions([source], [source, other]) == [
         ("m.py", "Dead"), ("m.py", "dead"), ("m.py", "dead_method"),
         ("m.py", "dead_property"), ("m.py", "recursive")]
+
+
+def _asserts(path):
+    """The line of each assert statement of the file."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    return sorted(node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert))
+
+
+def test_library_holds_no_assert():
+    """Library invariants raise typed exceptions, which `python -O` keeps."""
+    source = sorted((ROOT / "src" / "hyptorsion").glob("*.py"))
+    assert len(source) > 10
+    found = {p.name: lines for p in source if (lines := _asserts(p))}
+    assert found == {}
+
+
+def test_assert_check_sees_each_kind(tmp_path):
+    source = tmp_path / "m.py"
+    source.write_text("assert True\n"
+                      "def f(x):\n    assert x, 'message'\n"
+                      "class C:\n"
+                      "    def g(self):\n"
+                      "        if self:\n"
+                      "            assert self\n"
+                      "def h():\n    raise AssertionError('no statement')\n"
+                      "s = 'assert 0'\n# assert 0\n")
+    assert _asserts(source) == [1, 3, 7]
 
 
 def test_setup_py_builds_the_pure_package(tmp_path):

@@ -561,7 +561,7 @@ def jacobian_order(C):
     read off the power sums S_(km) of the alpha^m."""
     K, g = C.ctx, C.g
     p, m = K.p, getattr(K, "m", 1)
-    f = [K.to_index(c) for c in C.f.coeffs]
+    f = C.f.coeffs
     assert max(f) < p and p ** g <= 2 ** 13, C
     S = [None] + [p ** i + 1 - _point_count(f, p, i) for i in range(1, g + 1)]
     e = _elementary(S, g)

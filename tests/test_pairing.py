@@ -244,7 +244,6 @@ def test_two_generic_root_checks_decide_as_the_four_did():
         for t in nice_pairs_coprime(F, g):
             for mu in rng.sample(range(1, F.order), 8):
                 A, B = t.factors(F)
-                mu = F.from_index(mu)
                 try:
                     certs.append(PairCert(g, F.zero, F.neg(F.one), A.scale(mu),
                                           B.scale(F.inv(mu))))

@@ -145,7 +145,7 @@ class TestSquarefree:
 class TestPow:
     def test_matches_repeated_multiplication(self):
         for F in (F11, ExtField(3, 2)):
-            p = Poly(F, [F.from_index(2), F.from_index(3), F.one])
+            p = Poly(F, [2, 3, F.one])
             expected = Poly.const(F, F.one)
             for e in range(21):
                 assert p ** e == expected
@@ -155,7 +155,7 @@ class TestPow:
         F9, F5 = ExtField(3, 2), PrimeField(5)
         cases = [(QQ, [Fraction(-2, 3), Fraction(5, 7)], 12),
                  (F11, [3, 1], 20), (F11, [0, 7], 20), (QQ, [0, 1], 6),
-                 (F9, [F9.from_index(5), F9.from_index(7)], 20),
+                 (F9, [5, 7], 20),
                  (F5, [2, 3], 25), (F5, [1, 1], 30)]   # C(25, k) = 0 mod 5, 0 < k < 25
         for F, coeffs, top in cases:
             p = Poly(F, coeffs)

@@ -109,13 +109,13 @@ def _zero_derivative_candidates():
     for S in itertools.product((False, True), repeat=len(lins)):
         h1 = math.prod((lin for lin, s in zip(lins, S) if s), start=one) ** 3
         h2 = math.prod((lin for lin, s in zip(lins, S) if not s), start=one) ** 3
-        for mu in map(E.from_index, range(1, E.order)):
+        for mu in range(1, E.order):
             yield (E, 7, E.zero, E.neg(E.one), h1.scale(mu),
                    h2.scale(E.div(E.coerce(5), mu)))
     for F, g in ((PrimeField(3), 1), (ExtField(3, 2), 1), (F5, 2), (PrimeField(7), 3)):
         for a1, a2 in itertools.permutations(F.elements(), 2):
             d = diff_power(F, a1, a2, 2 * g + 1)
-            for c in map(F.from_index, range(1, F.order)):
+            for c in range(1, F.order):
                 yield F, g, a1, a2, Poly.const(F, c), d.scale(F.inv(c))
 
 
