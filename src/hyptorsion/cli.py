@@ -129,13 +129,22 @@ def _shallow(code, what, parse, *args):
         raise CliError(code, f"{what} nests too deeply") from None
 
 
+def _decode(decode, *args):
+    """decode(*args), refusing as bad-elem an element that the field's
+    elem_from_json refuses."""
+    try:
+        return decode(*args)
+    except ValueError as exc:
+        raise CliError("bad-elem", str(exc)) from None
+
+
 def parse_poly(ctx, text: str) -> Poly:
     """Coefficient-array JSON, or the restricted syntax over +, -, *, ^, x,
     integers and parentheses."""
     text = text.strip()
     if text.startswith("["):
-        return Poly.from_json(ctx, _shallow("bad-poly", "the polynomial",
-                                            json.loads, text))
+        coeffs = _shallow("bad-poly", "the polynomial", json.loads, text)
+        return _decode(Poly.from_json, ctx, coeffs)
     tokens = _tokenize(text)
     pos = 0
 
@@ -207,7 +216,8 @@ def parse_poly(ctx, text: str) -> Poly:
 def parse_elem(ctx, text: str):
     text = text.strip()
     if text.startswith("["):
-        return ctx.elem_from_json(_shallow("bad-elem", "the element", json.loads, text))
+        return _decode(ctx.elem_from_json,
+                       _shallow("bad-elem", "the element", json.loads, text))
     try:
         return Fraction(text) if isinstance(ctx, Rationals) else ctx.coerce(int(text))
     except ZeroDivisionError:
@@ -238,7 +248,7 @@ def load_curve(args, F):
                 raise CliError("bad-curve", f"cannot read curve {text!r}: "
                                f"g must be a JSON integer, got {g!r}")
             F = make_field(spec, args.seed)
-            f = Poly.from_json(F, coeffs)
+            f = _decode(Poly.from_json, F, coeffs)
         except (OSError, KeyError, TypeError) as exc:
             raise CliError("bad-curve", f"cannot read curve {text!r}: {exc!r}") from None
         return F, Curve(F, g, f)

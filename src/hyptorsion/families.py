@@ -26,40 +26,27 @@ from .polyring import Poly, diff_power
 from .torsion import CertError, PairCert, make_pair
 
 
-@dataclass(frozen=True)
-class RootLabel:
-    """A nontrivial root of unity eps with its abscissa label eta = 1/(eps-1)."""
-
-    eps: object
-    eta: object
-
-
+@memo
 def eta_roots(F, n):
-    """RootLabels for all eps in M(n), in canonical zeta-power order, as a
-    new list each call.
+    """The abscissa labels eta = 1/(eps - 1) of all eps in M(n), in canonical
+    zeta-power order, as a tuple.
 
     Found once per field and n, when they also pass the product identity
-    n * prod(x - eta(eps)) = (x+1)^n - x^n.
+    n * prod(x - eta) = (x+1)^n - x^n.
     """
-    return list(_eta_labels(F, n))
-
-
-@memo
-def _eta_labels(F, n):
-    labels = [RootLabel(eps, F.inv(F.sub(eps, F.one)))
-              for eps in nth_roots_of_unity(F, n)]
+    labels = tuple(F.inv(F.sub(eps, F.one)) for eps in nth_roots_of_unity(F, n))
     if (_linear_product(F, labels, [1] * len(labels), n)
             != diff_power(F, F.zero, F.neg(F.one), n)):
         raise FieldError("eta product identity failed; roots are inconsistent")
-    return tuple(labels)
+    return labels
 
 
 def _linear_product(F, labels, multiplicity, c=1):
-    """c * prod (x - eta)^m over the labels, m the label's multiplicity."""
+    """c * prod (x - eta)^m over the eta labels, m the label's multiplicity."""
     prod = Poly.const(F, F.coerce(c))
-    for lab, e in zip(labels, multiplicity):
+    for eta, e in zip(labels, multiplicity):
         if e:
-            prod = prod * Poly(F, [F.neg(lab.eta), F.one]) ** e
+            prod = prod * Poly(F, [F.neg(eta), F.one]) ** e
     return prod
 
 
@@ -67,8 +54,8 @@ def _linear_product(F, labels, multiplicity, c=1):
 class Template:
     """The factor pair (Upsilon, (2l+1) * Upsilon_bar) of an exponent function
     on M(2l+1) for n = q(2l+1): Upsilon is the product of (x - eta)^v over
-    the eta labels, Upsilon_bar that of (x - eta)^(q - v).  At q = 1 the
-    values are the indicator of a g-subset I."""
+    the eta labels (the tuple eta_roots hands out), Upsilon_bar that of
+    (x - eta)^(q - v).  At q = 1 the values are the indicator of a g-subset I."""
 
     labels: tuple
     values: tuple
@@ -111,7 +98,7 @@ def nice_pairs_coprime(F, g):
     n = 2 * g + 1
     if F.char and n % F.char == 0:
         raise FieldError(f"characteristic {F.char} divides 2g+1 = {n}")
-    yield from _subset_templates(tuple(eta_roots(F, n)), 1)
+    yield from _subset_templates(eta_roots(F, n), 1)
 
 
 def symmetry_classes(templates):
@@ -150,7 +137,7 @@ def char_templates(F, p, k, l, ij_only=True):
     """Templates for n = p^k(2l+1) over F of characteristic p: the
     upsilon_{I,J} subset walk at q = p^k, or with ij_only false every
     admissible exponent function, in tuple order."""
-    labels = tuple(eta_roots(F, 2 * l + 1))
+    labels = eta_roots(F, 2 * l + 1)
     _check_k(k)
     if F.char != p:
         raise FieldError(f"field characteristic {F.char} != p = {p}")

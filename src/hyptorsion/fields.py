@@ -1,11 +1,12 @@
 """Exact field arithmetic: Q, GF(p) and GF(p^m) for odd primes p.
 
-Field contexts are immutable and shareable; elements are plain canonical
-values, so equality of elements is equality of representations.  An element
-of Q is a Fraction; the elements of a finite field of order q are the ints
-0 .. q-1 (`FiniteFieldMixin` states the contract).  Up to _TABLE_MAX
-elements, GF(p^m) arithmetic is exp/log/Zech-logarithm table lookup; above
-it, each operation reduces modulo the defining polynomial.
+Field contexts are immutable and shareable, and compare by value (`Field`);
+elements are plain canonical values, so equality of elements is equality of
+representations.  An element of Q is a Fraction; the elements of a finite
+field of order q are the ints 0 .. q-1 (`FiniteFieldMixin` states the
+contract).  Up to _TABLE_MAX elements, GF(p^m) arithmetic is
+exp/log/Zech-logarithm table lookup; above it, each operation reduces modulo
+the defining polynomial.
 
 Each field also owns the arithmetic of polynomials over it, on coefficient
 sequences (`poly_add`, ..., `poly_invmod`): GF(p) and GF(p^m) run the
@@ -18,7 +19,8 @@ of random monic candidates, tested by Ben-Or's distinct-degree test, which
 drops most reducible candidates after a few Frobenius powers.  A process
 finds each field's facts once: the modulus of each (p, m, seed), and per
 field value (p and modulus) its tables, roots of unity and quadratic
-non-residue.  Each memo (`memo`) keeps the 16 keys used most recently.
+non-residue.  Each memo (`memo`) keeps the 16 keys used most recently, and
+the memoized functions hand out their cached ints and tuples as they are.
 `order_from_multiple` finds the order of an element of any group from a
 known multiple of it, for unit groups here and for Jacobians in `jacobian`.
 """
@@ -165,51 +167,27 @@ def totient(n):
 
 
 class Field:
-    """Common interface; all element operations are pure functions."""
+    """A field context, shared and immutable.  Q, GF(p) and GF(p^m) each
+    define the pure element operations `coerce` (of an int), `add`, `sub`,
+    `mul`, `neg`, `inv`, `pow_el`, `canonical_min` (the canonically smaller
+    of a and -a, which fixes signs reproducibly) and `sqrt` (a square root
+    with canonical sign, or None); the JSON maps `elem_to_json`,
+    `elem_from_json` and `to_json`; and `char`, `is_finite`, `zero` and
+    `one`.  A field is its value `_key`, "Q", ("GF", p) or ("GF", p,
+    modulus): fields compare and hash by it, however they were built."""
 
     char: int
     is_finite: bool
+    _key: object
 
-    def coerce(self, n):
-        raise NotImplementedError
+    def __eq__(self, other):
+        return isinstance(other, Field) and other._key == self._key
 
-    def add(self, a, b):
-        raise NotImplementedError
-
-    def sub(self, a, b):
-        raise NotImplementedError
-
-    def mul(self, a, b):
-        raise NotImplementedError
-
-    def neg(self, a):
-        raise NotImplementedError
-
-    def inv(self, a):
-        raise NotImplementedError
+    def __hash__(self):
+        return hash(self._key)
 
     def div(self, a, b):
         return self.mul(a, self.inv(b))
-
-    def pow_el(self, a, e):
-        raise NotImplementedError
-
-    def canonical_min(self, a):
-        """The canonically-smaller of {a, -a}; fixes signs reproducibly."""
-        raise NotImplementedError
-
-    def sqrt(self, a):
-        """A square root of a with canonical sign, or None."""
-        raise NotImplementedError
-
-    def elem_to_json(self, a):
-        raise NotImplementedError
-
-    def elem_from_json(self, obj):
-        raise NotImplementedError
-
-    def to_json(self):
-        raise NotImplementedError
 
     # -- polynomials ---------------------------------------------------------
     # A polynomial is a sequence of coefficients, lowest degree first.  The
@@ -335,6 +313,7 @@ def _is_json_int(obj):
 class Rationals(Field):
     char = 0
     is_finite = False
+    _key = "Q"
 
     zero = Fraction(0)
     one = Fraction(1)
@@ -378,12 +357,14 @@ class Rationals(Field):
         return f"{a.numerator}/{a.denominator}"
 
     def elem_from_json(self, obj):
-        if not (isinstance(obj, str) or _is_json_int(obj)):
-            raise ValueError(f"cannot parse rational from {obj!r}")
-        try:
-            return Fraction(obj)
-        except ZeroDivisionError:
-            raise ValueError(f"zero denominator in {obj!r}") from None
+        if isinstance(obj, str) or _is_json_int(obj):
+            try:
+                return Fraction(obj)
+            except ZeroDivisionError:
+                raise ValueError(f"zero denominator in {obj!r}") from None
+            except ValueError:
+                pass
+        raise ValueError(f"cannot parse rational from {obj!r}")
 
     def to_json(self):
         return {"kind": "Q"}
@@ -422,12 +403,6 @@ class Rationals(Field):
         while fb:
             fa, fb = fb, _zz_primitive(_zz_prem(fa, fb))
         return self._poly_monic([Fraction(c) for c in fa])
-
-    def __eq__(self, other):
-        return isinstance(other, Rationals)
-
-    def __hash__(self):
-        return hash("Q")
 
     def __repr__(self):
         return "Q"
@@ -538,6 +513,7 @@ class PrimeField(FiniteFieldMixin, Field):
         self.p = p
         self.char = p
         self.order = p
+        self._key = ("GF", p)
         self.zero = 0
         self.one = 1
 
@@ -575,12 +551,6 @@ class PrimeField(FiniteFieldMixin, Field):
     def to_json(self):
         return {"kind": "GF", "p": self.p}
 
-    def __eq__(self, other):
-        return isinstance(other, PrimeField) and other.p == self.p
-
-    def __hash__(self):
-        return hash(("GF", self.p))
-
     def __repr__(self):
         return f"GF({self.p})"
 
@@ -591,8 +561,8 @@ _GCD_FIELDS = tuple(map(PrimeField, (10007, 10009, 10037, 10039, 10061)))
 
 # The memo of each per-field fact: it keeps the values of the 16 keys used
 # most recently.  A field as a key stands for its value: fields compare by p
-# and modulus.  The values are ints and tuples, which no caller can change;
-# the public functions hand out lists.
+# and modulus.  The values are ints and tuples, which no caller can change,
+# so each memoized function hands out its cached value itself.
 memo = functools.lru_cache(maxsize=16)
 
 
@@ -623,17 +593,13 @@ def _is_irreducible(modulus, p):
     return True
 
 
-def find_irreducible(p, m, seed=0):
-    """Seeded-deterministic monic irreducible of degree m over GF(p): the
-    first irreducible candidate of a random stream seeded by (seed, p, m),
-    searched once per process for each."""
-    if m == 1:
-        return [0, 1]
-    return list(_first_irreducible(p, m, seed))
-
-
 @memo
-def _first_irreducible(p, m, seed):
+def find_irreducible(p, m, seed=0):
+    """Seeded-deterministic monic irreducible of degree m over GF(p), as a
+    tuple: x for m = 1, else the first irreducible candidate of a random
+    stream seeded by (seed, p, m), searched once per process for each."""
+    if m == 1:
+        return (0, 1)
     rng = random.Random(repr((seed, p, m)))
     while True:
         coeffs = [rng.randrange(p) for _ in range(m)] + [1]
@@ -703,7 +669,7 @@ class ExtField(FiniteFieldMixin, Field):
         self.char = p
         self.order = p ** m
         if modulus is None:
-            modulus = find_irreducible(p, m, seed=seed)
+            modulus = find_irreducible(p, m, seed)
         else:
             modulus = [c % p for c in modulus]
             if len(modulus) != m + 1 or modulus[-1] != 1:
@@ -711,6 +677,7 @@ class ExtField(FiniteFieldMixin, Field):
             if not _is_irreducible(modulus, p):
                 raise FieldError("modulus is reducible over GF(p)")
         self.modulus = tuple(modulus)
+        self._key = ("GF", p, self.modulus)
         self.zero = 0
         self.one = 1
         # Without tables (log is None) every operation goes index -> digit
@@ -789,13 +756,6 @@ class ExtField(FiniteFieldMixin, Field):
     def to_json(self):
         return {"kind": "GF", "p": self.p, "m": self.m, "modulus": list(self.modulus)}
 
-    def __eq__(self, other):
-        return (isinstance(other, ExtField) and other.p == self.p
-                and other.modulus == self.modulus)
-
-    def __hash__(self):
-        return hash(("GF", self.p, self.modulus))
-
     def __repr__(self):
         return f"GF({self.p}^{self.m})"
 
@@ -827,17 +787,13 @@ def field_make(spec, seed=0):
     raise FieldError(f"unknown field kind {kind!r}")
 
 
+@memo
 def nth_roots_of_unity(F, n):
     """M(n): all n-th roots of unity except 1, ordered as powers of the
-    least primitive one, as a new list each call (they are found once per
-    field and n).  Raises InsufficientFieldError naming the minimal
-    extension degree when the field lacks them.
+    least primitive one, as a tuple found once per field and n.  Raises
+    InsufficientFieldError naming the minimal extension degree when the
+    field lacks them.
     """
-    return list(_roots_of_unity(F, n))
-
-
-@memo
-def _roots_of_unity(F, n):
     if n < 3 or n % 2 == 0:
         raise ValueError(f"n must be odd and >= 3, got {n}")
     if not F.is_finite:

@@ -907,10 +907,24 @@ def test_malformed_json_gets_the_code_of_its_input(capsys, tmp_path, monkeypatch
     ["weil", "--field", "GF:11", "--g", "2", "--I", "0,1", "--mu", "1/2"],
     ["construct-single", "--field", "GF:3,2", "--g", "1", "--a", "0.5",
      "--v", "x"],
-    ["construct-single", "--field", "Q", "--g", "2", "--a", "1/2/3", "--v", "x+1"]])
-def test_malformed_element_is_bad_elem(capsys, argv):
+    ["construct-single", "--field", "Q", "--g", "2", "--a", "1/2/3", "--v", "x+1"],
+    # the same refusal for an element inside JSON, wherever it sits
+    ["construct-single", "--field", "Q", "--g", "2", "--a", "0", "--v", '["1/2/3"]'],
+    ["construct-single", "--field", "GF:3,2", "--g", "1", "--a", "[1,2,3]",
+     "--v", "x"],
+    ["weil", "--field", "GF:11", "--g", "2", "--I", "0,1", "--mu", "[1]"],
+    GF11_VERIFY + ["--curve", "x^5+1", "--point", "([1],1)"],
+    GF11_VERIFY + ["--curve", "[1,0,0,0,0,1.5]", "--point", "(0,1)"],
+    ["construct-pair", "--field", "GF:11", "--g", "2", "--a1", "0", "--a2", "10",
+     "--u1", '[7, 7, "2"]', "--u2", "[8, 10, 8]"],
+    ["verify", "--curve", "bad-coefficient.json", "--point", "(0,1)"]])
+def test_malformed_element_is_bad_elem(capsys, tmp_path, monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "bad-coefficient.json").write_text(
+        '{"field": {"kind": "Q"}, "g": 2, "f": ["1/2/3", 0, 0, 0, 0, 1]}')
     code, out = run(capsys, argv)
     assert (code, out["code"]) == (1, "bad-elem"), out
+    assert "Fraction" not in out["message"]
 
 
 @pytest.mark.parametrize("argv", [
@@ -926,7 +940,7 @@ def test_json_rational_with_zero_denominator_is_refused(capsys, tmp_path, monkey
     (tmp_path / "zero-denominator.json").write_text(
         '{"field": {"kind": "Q"}, "g": 2, "f": ["1/0", 0, 0, 0, 0, 1]}')
     code, out = run(capsys, argv)
-    assert (code, out["status"], out["code"]) == (1, "error", "ValueError"), out
+    assert (code, out["status"], out["code"]) == (1, "error", "bad-elem"), out
     assert out["message"] == "zero denominator in '1/0'"
 
 

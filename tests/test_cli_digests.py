@@ -30,8 +30,14 @@ from hyptorsion import cli
 
 DIGESTS = Path(__file__).with_name("cli_digests.json")
 PYTHON = "%d.%d" % sys.version_info[:2]
+# a curve over GF(3^2) whose field carries its modulus
+GF9_CURVE = ('{"field": {"kind": "GF", "p": 3, "m": 2, "modulus": %s}, "g": 1, '
+             '"f": [[0, 2], [0, 2], [1, 0], [1, 0]]}')
 FILES = {"truncated.json": '{"field": {"kind": "GF", "p": 11}, "g"',
-         "zero-denominator.json": '{"field": {"kind": "Q"}, "g": 2, "f": ["1/0", 1]}'}
+         "zero-denominator.json": '{"field": {"kind": "Q"}, "g": 2, "f": ["1/0", 1]}',
+         "gf9.json": GF9_CURVE % "[2, 1, 1]",
+         "gf9-reducible.json": GF9_CURVE % "[2, 0, 1]",
+         "gf9-wrong-degree.json": GF9_CURVE % "[1, 1, 1, 1]"}
 
 HELP = [
     ["-h"],
@@ -128,12 +134,18 @@ CALLS = [
      "--point", "(0,1)", "--oracle"],
     ["verify", "--field", "GF:11", "--g", "2", "--curve", "(x^2+1)^2*x+1",
      "--point", "(0,1)", "--oracle"],
+    # a curve file with a given GF(3^2) modulus
+    ["verify", "--curve", "gf9.json", "--point", "([1,0],[1,1])", "--oracle"],
     ["hyperelliptic", "--max", "120", "--json-out", "out.json"],
     ["hyperelliptic", "--n", "5", "--json-out", "missing/out.json"],
 ]
 
 # error envelopes: malformed input and the bounds
 ERRORS = [
+    # a curve file whose GF(3^2) modulus is reducible, and one of degree 3
+    ["verify", "--curve", "gf9-reducible.json", "--point", "([1,0],[1,1])", "--oracle"],
+    ["verify", "--curve", "gf9-wrong-degree.json", "--point", "([1,0],[1,1])",
+     "--oracle"],
     ["verify", "--field", "Q", "--g", "2", "--curve", "x^5+1", "--point", "(1/0,1)"],
     # a JSON rational with a zero denominator
     ["construct-single", "--field", "Q", "--g", "2", "--a", "0", "--v", '["1/0"]'],

@@ -6,7 +6,7 @@ import pytest
 
 from hyptorsion import families
 from hyptorsion.cli import _family_json
-from hyptorsion.families import (RootLabel, Template, char_templates,
+from hyptorsion.families import (Template, char_templates,
                                  check_admissible, eta_roots, family_pair,
                                  find_good_mu, mu_candidates, nice_pairs_coprime,
                                  rational_four_torsion, symmetry_classes)
@@ -21,27 +21,25 @@ F11 = PrimeField(11)
 class TestEtaRoots:
     def test_gf11_values(self):
         labels = eta_roots(F11, 5)
-        assert [lab.eps for lab in labels] == [3, 9, 5, 4]
-        assert {lab.eta for lab in labels} == {6, 7, 3, 4}
+        assert nth_roots_of_unity(F11, 5) == (3, 9, 5, 4)
+        assert set(labels) == {6, 7, 3, 4}
         # Vieta: sum of eta over M(n) is -(n-1)/2
-        assert sum(lab.eta for lab in labels) % 11 == 9
-        # eta determines eps back: eps = (1 + eta)/eta
-        for lab in labels:
-            assert F11.div(F11.add(F11.one, lab.eta), lab.eta) == lab.eps
+        assert sum(labels) % 11 == 9
+        # eta determines eps back, in the order of M(n): eps = (1 + eta)/eta
+        assert [F11.div(F11.add(F11.one, eta), eta) for eta in labels] == [3, 9, 5, 4]
 
     def test_product_identity_catches_a_wrong_root(self, monkeypatch):
         def one_wrong(F, n):
             roots = nth_roots_of_unity(F, n)
-            roots[0] = F.add(roots[0], F.one)       # 3 + 1 over GF(11)
-            return roots
+            return (F.add(roots[0], F.one),) + roots[1:]    # 3 + 1 over GF(11)
 
         monkeypatch.setattr(families, "nth_roots_of_unity", one_wrong)
-        families._eta_labels.cache_clear()
+        families.eta_roots.cache_clear()
         try:
             with pytest.raises(FieldError, match="eta product identity failed"):
                 eta_roots(F11, 5)
         finally:
-            families._eta_labels.cache_clear()
+            families.eta_roots.cache_clear()
 
 
 class TestCoprimeTemplates:
@@ -160,8 +158,7 @@ class TestCharRegime:
         # u1*u2 misses (x+1)^15 - x^15 for every mu; PairCert refuses each one
         E = ExtField(3, 4)
         t = next(char_templates(E, 3, 1, 2))
-        eps, eta = t.labels[0].eps, t.labels[0].eta
-        labels = (RootLabel(eps, E.add(eta, E.one)),) + t.labels[1:]
+        labels = (E.add(t.labels[0], E.one),) + t.labels[1:]
         with pytest.raises(InsufficientFieldError):
             find_good_mu(7, Template(labels, t.values, t.q).factors(E))
 

@@ -12,6 +12,7 @@ from hyptorsion.fields import (ExtField, FieldError, InsufficientFieldError,
                                PrimeField, Rationals, field_make,
                                find_irreducible, is_prime, nth_roots_of_unity,
                                order_from_multiple)
+from hyptorsion.polyring import Poly
 
 
 def test_is_prime():
@@ -268,6 +269,51 @@ class TestTableField:
         assert tables.cache_info()[:2] == (1, 18)
 
 
+class TestFieldEquality:
+    # A field compares and hashes by its value: Q, GF(p) by p, and GF(p^m)
+    # by p and modulus, however it was built.
+    @staticmethod
+    def table():
+        gf9 = ExtField(3, 2)
+        return [
+            (Rationals(), Rationals(), True),
+            (PrimeField(11), PrimeField(11), True),
+            (PrimeField(11), PrimeField(13), False),
+            (Rationals(), PrimeField(5), False),
+            (ExtField(7, 1), PrimeField(7), False),
+            (gf9, ExtField(3, 2, modulus=list(gf9.modulus)), True),
+            (gf9, field_make({"kind": "GF", "p": 3, "m": 2,
+                              "modulus": list(gf9.modulus)}), True),
+            (ExtField(3, 2, modulus=[1, 0, 1]), ExtField(3, 2, modulus=[2, 1, 1]), False),
+            (ExtField(3, 2), ExtField(5, 2), False),
+        ]
+
+    def test_equality_and_hash(self):
+        for a, b, equal in self.table():
+            assert (a == b, b == a, a != b) == (equal, equal, not equal), (a, b)
+            if equal:
+                assert hash(a) == hash(b), (a, b)
+
+    def test_a_field_is_no_number(self):
+        for F in (Rationals(), PrimeField(11), ExtField(3, 2)):
+            assert F != 11 and 11 != F and F != "Q"
+
+    def test_polys_over_unequal_fields_differ(self):
+        assert Poly(PrimeField(11), [1]) != Poly(PrimeField(13), [1])
+        assert Poly(PrimeField(11), [1]) == Poly(PrimeField(11), [1])
+
+    def test_fields_as_dict_keys(self):
+        keys = {Rationals(): "Q", PrimeField(11): "GF(11)", ExtField(3, 2): "GF(9)",
+                ExtField(7, 1): "GF(7^1)", PrimeField(7): "GF(7)"}
+        assert len(keys) == 5
+        modulus = list(ExtField(3, 2).modulus)
+        assert [keys[F] for F in (Rationals(), PrimeField(11),
+                                  ExtField(3, 2, modulus=modulus),
+                                  ExtField(7, 1), PrimeField(7))] \
+            == ["Q", "GF(11)", "GF(9)", "GF(7^1)", "GF(7)"]
+        assert PrimeField(13) not in keys
+
+
 def test_order_from_multiple_matches_brute_force():
     for F in (PrimeField(13), ExtField(3, 4)):
         for a in range(1, F.order):
@@ -295,7 +341,7 @@ def test_found_modulus_is_tested_once(monkeypatch):
         return is_irreducible(modulus, p)
 
     monkeypatch.setattr(fields, "_is_irreducible", counted)
-    fields._first_irreducible.cache_clear()
+    fields.find_irreducible.cache_clear()
     for p, m, seed in ((3, 4, 0), (5, 3, 1), (29, 2, 3), (7, 1, 0)):
         first = ExtField(p, m, seed=seed).modulus
         assert calls or m == 1, (p, m)
@@ -326,12 +372,12 @@ def test_find_irreducible_keeps_its_moduli():
     # test, for p in {3, 5, 7, 11, 13, 29}, m <= 8 and seeds 0-4, and for
     # GF(13^32) at seed 1: an exact test takes the same first irreducible
     # candidate of the same seeded stream.
-    fields._first_irreducible.cache_clear()
+    fields.find_irreducible.cache_clear()
     grid = json.loads((Path(__file__).parent / "moduli_grid.json").read_text())
     assert len(grid) == 6 * 8 * 5 + 1
     for key, modulus in grid.items():
         p, m, seed = map(int, key.split(","))
-        assert find_irreducible(p, m, seed=seed) == modulus, key
+        assert find_irreducible(p, m, seed=seed) == tuple(modulus), key
 
 
 class TestFieldMemos:
@@ -344,22 +390,22 @@ class TestFieldMemos:
             field_make({"kind": "GF", "p": 3, "m": 2, "modulus": [2, 0, 1]})
 
     def test_seeds_keep_their_own_moduli(self):
-        fields._first_irreducible.cache_clear()
+        fields.find_irreducible.cache_clear()
         seeds = range(5)
         first = [ExtField(13, 4, seed=s).modulus for s in seeds]
         assert len(set(first)) == len(first)
         again = [ExtField(13, 4, seed=s).modulus for s in reversed(seeds)]
         assert again[::-1] == first
-        assert fields._first_irreducible.cache_info()[:2] == (5, 5)  # hits, misses
+        assert fields.find_irreducible.cache_info()[:2] == (5, 5)  # hits, misses
 
     def test_memos_are_bounded_and_keyed_on_value(self):
-        per_field = (fields._build_tables, fields._roots_of_unity,
-                     fields._nonresidue, families._eta_labels)
-        for memo in (fields._first_irreducible,) + per_field:
+        per_field = (fields._build_tables, fields.nth_roots_of_unity,
+                     fields._nonresidue, families.eta_roots)
+        for memo in (fields.find_irreducible,) + per_field:
             memo.cache_clear()
         for seed in range(17):
             find_irreducible(7, 2, seed=seed)
-        assert fields._first_irreducible.cache_info()[1:] == (17, 16, 16)
+        assert fields.find_irreducible.cache_info()[1:] == (17, 16, 16)
         # GF(49) has square roots by Tonelli-Shanks and cube roots of unity
         built = [ExtField(7, 2, modulus=m) for m in _irreducible_quadratics(7)[:17]]
         for F in built:
@@ -375,21 +421,18 @@ class TestFieldMemos:
         assert fields._nonresidue(again) == fields._nonresidue.__wrapped__(built[-1])
         # the least recently used field was dropped
         eta_roots(built[0], 3)
-        assert families._eta_labels.cache_info()[:2] == (1, 18)
+        assert families.eta_roots.cache_info()[:2] == (1, 18)
 
     def test_callers_cannot_mutate_cached_values(self):
+        # each memoized fact is handed out as its cached tuple of ints
         F = ExtField(3, 4)
-        roots = nth_roots_of_unity(F, 5)
-        labels = eta_roots(F, 5)
-        modulus = find_irreducible(3, 4)
-        kept = (list(roots), list(labels), list(modulus))
-        roots[0] = roots.pop()
-        labels.reverse()
-        modulus[0] += 1
-        assert (nth_roots_of_unity(F, 5), eta_roots(F, 5),
-                find_irreducible(3, 4)) == kept
-        with pytest.raises(AttributeError):
-            eta_roots(F, 5)[0].eps = F.zero
+        for fact in (lambda: nth_roots_of_unity(F, 5), lambda: eta_roots(F, 5),
+                     lambda: find_irreducible(3, 4), lambda: find_irreducible(3, 1)):
+            value = fact()
+            assert type(value) is tuple and all(type(c) is int for c in value)
+            with pytest.raises(TypeError):
+                value[0] = value[-1]
+            assert fact() is value
 
 
 def test_find_irreducible_deterministic():
@@ -400,7 +443,7 @@ def test_find_irreducible_deterministic():
 class TestRootsOfUnity:
     def test_gf11_order5(self):
         F = PrimeField(11)
-        assert nth_roots_of_unity(F, 5) == [3, 9, 5, 4]
+        assert nth_roots_of_unity(F, 5) == (3, 9, 5, 4)
 
     def test_orders(self):
         F = ExtField(3, 4)
@@ -430,7 +473,7 @@ class TestRootsOfUnity:
         for _ in range(n - 1):
             acc = F.mul(acc, zeta)
             roots.append(acc)
-        return roots
+        return tuple(roots)
 
     def test_matches_the_scan(self):
         checked = 0

@@ -1,11 +1,14 @@
 """What `import hyptorsion.cli` loads, the package's lazy re-exports, that
 every import is used, every definition named and no library invariant an
-`assert`, and what `setup.py build` puts in the package."""
+`assert`, that the library names `perfbench/` spells resolve, and what
+`setup.py build` puts in the package."""
 
 import ast
 import builtins
 import collections
 import importlib
+import importlib.util
+import inspect
 import json
 import shutil
 import subprocess
@@ -205,6 +208,94 @@ def test_assert_check_sees_each_kind(tmp_path):
                       "def h():\n    raise AssertionError('no statement')\n"
                       "s = 'assert 0'\n# assert 0\n")
     assert _asserts(source) == [1, 3, 7]
+
+
+PERFBENCH = ROOT / "perfbench"
+
+# The names perfbench spells that no longer name library code (ROADMAP
+# item 2): the deleted u_pair methods, pairing.root_field and the _kernel
+# module.  Mending one takes it off this set.
+ROTTEN = {"families.CoprimeTemplate.u_pair", "families.CharTemplate.u_pair",
+          "families._FixedPair.u_pair", "pairing.root_field", "_kernel"}
+
+
+def _perfbench_tracing():
+    spec = importlib.util.spec_from_file_location("perfbench_tracing",
+                                                  PERFBENCH / "tracing.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _metric_keys(path):
+    """{table: keys} of the string literals `layer_metrics` looks up in the
+    tracer's calls, incl and raised tables."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    (fn,) = [node for node in ast.walk(tree)
+             if isinstance(node, ast.FunctionDef) and node.name == "layer_metrics"]
+    keys = collections.defaultdict(set)
+    for node in ast.walk(fn):
+        if isinstance(node, ast.Subscript) and isinstance(node.slice, ast.Constant) \
+                and isinstance(node.slice.value, str):
+            table = node.value
+            keys[getattr(table, "attr", getattr(table, "id", None))].add(node.slice.value)
+    return keys
+
+
+def _traced(key, tracing):
+    """Whether `Tracer.install` wraps the library function that a key
+    `<layer>.<function>` or `<layer>.<Class>.<method>` names: a public
+    function of a module of the layer, or a public (or listed dunder) method
+    defined in the class itself."""
+    layer, _, name = key.partition(".")
+    owner, _, attr = name.rpartition(".")
+    for modname in dict(tracing.LAYERS).get(layer, ()):
+        if importlib.util.find_spec(f"hyptorsion.{modname}") is None:
+            continue
+        mod = importlib.import_module(f"hyptorsion.{modname}")
+        if not owner:
+            fn = vars(mod).get(attr)
+            if inspect.isfunction(fn) and fn.__module__ == mod.__name__ \
+                    and not attr.startswith("_"):
+                return True
+            continue
+        cls = vars(mod).get(owner)
+        if not (inspect.isclass(cls) and cls.__module__ == mod.__name__):
+            continue
+        fn = cls.__dict__.get(attr)
+        fn = fn.__func__ if isinstance(fn, (classmethod, staticmethod)) else fn
+        if inspect.isfunction(fn) and (not attr.startswith("_")
+                                       or attr in tracing._DUNDERS):
+            return True
+    return False
+
+
+def test_perfbench_names_resolve():
+    """A per-layer metric that names a renamed function reads 0 and fails
+    nothing, so the names the tracer and `layer_metrics` spell must resolve
+    to functions the tracer wraps."""
+    tracing = _perfbench_tracing()
+    modules = {m for _, mods in tracing.LAYERS for m in mods}
+    unknown = {m for m in modules if importlib.util.find_spec(f"hyptorsion.{m}") is None}
+    keys = _metric_keys(PERFBENCH / "run.py")
+    assert keys["calls"] and keys["raised"]
+    # incl is keyed by group name, as _GROUPS maps functions to groups
+    assert keys["incl"] <= set(tracing._GROUPS.values())
+    names = set(tracing._GROUPS) | tracing._MU_TRIED | keys["calls"] | keys["raised"]
+    unknown |= {key for key in names if not _traced(key, tracing)}
+    assert unknown == ROTTEN
+
+
+def test_traced_check_sees_each_kind():
+    tracing = _perfbench_tracing()
+    for key in ("fields.field_make", "fields.ExtField.mul", "fields.PrimeField.__init__",
+                "fields.FiniteFieldMixin.sqrt", "polyring.Poly.__mul__"):
+        assert _traced(key, tracing), key
+    # renamed, private, inherited, not a function, no such layer
+    for key in ("fields.ExtField.no_such", "fields._is_irreducible",
+                "fields.ExtField.sqrt", "fields.ExtField.__repr__", "fields.memo",
+                "fields.FieldError", "nolayer.f"):
+        assert not _traced(key, tracing), key
 
 
 def test_setup_py_builds_the_pure_package(tmp_path):

@@ -87,8 +87,8 @@ def _template_cert(F, g, I, mu):
     n = F.coerce(2 * g + 1)
     u1 = Poly.const(F, mu)
     u2 = Poly.const(F, F.div(n, mu))
-    for i, lab in enumerate(labels):
-        lin = Poly(F, [F.neg(lab.eta), F.one])
+    for i, eta in enumerate(labels):
+        lin = Poly(F, [F.neg(eta), F.one])
         if i in I:
             u1 = u1 * lin
         else:
@@ -104,7 +104,7 @@ def _zero_derivative_candidates():
     u2 = ((x - a2)^n - (x - a1)^n)/c, which is a constant too."""
     from hyptorsion.families import eta_roots
     E = ExtField(3, 4)
-    lins = [Poly(E, [E.neg(lab.eta), E.one]) for lab in eta_roots(E, 5)]
+    lins = [Poly(E, [E.neg(eta), E.one]) for eta in eta_roots(E, 5)]
     one = Poly.const(E, E.one)
     for S in itertools.product((False, True), repeat=len(lins)):
         h1 = math.prod((lin for lin, s in zip(lins, S) if s), start=one) ** 3
