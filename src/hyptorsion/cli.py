@@ -54,8 +54,9 @@ def parse_field(spec: str, seed=0):
 MAX_FIELD_BITS = 128
 
 # The largest field a census may enumerate.  Over GF(3^8) (6,561 elements) a
-# genus-4 census takes about 2 s; above 2^13 elements GF(p^m) has no Zech
-# tables, and a genus-1 census over GF(3^9) takes 8 s.
+# genus-4 census takes 1.2-1.4 s as a fresh process on a 2-core host; above
+# 2^13 elements GF(p^m) has no Zech tables, and a genus-1 census over GF(3^9)
+# takes 8 s.
 MAX_CENSUS_ORDER = 2 ** 13
 
 # The largest --max a hyperelliptic scan may take.  The scan's cost grows

@@ -9,10 +9,13 @@ exp/log/Zech-logarithm table lookup; above it, each operation reduces modulo
 the defining polynomial.
 
 Each field also owns the arithmetic of polynomials over it, on coefficient
-sequences (`poly_add`, ..., `poly_invmod`): GF(p) and GF(p^m) run the
-generic loops of `Field` over their element operations, and Q takes gcds by
-modular images and then a primitive PRS over the integers.  Untabled GF(p^m)
-elements and the modulus search run on the polynomials of one GF(p).
+sequences (`poly_add`, ..., `poly_invmod`): GF(p) and untabled GF(p^m) run
+the generic loops of `Field` over their element operations; tabled GF(p^m)
+runs its sums, products, divisions and evaluations on the exp/log/Zech
+tables, and the gcds and modular powers on those through the generic loops;
+Q multiplies over the integers and takes gcds by modular images and then a
+primitive PRS.  Untabled GF(p^m) elements and the modulus search run on the
+polynomials of one GF(p).
 
 A GF(p^m) built from a seed takes the first irreducible of a seeded stream
 of random monic candidates, tested by Ben-Or's distinct-degree test, which
@@ -174,7 +177,9 @@ class Field:
     with canonical sign, or None); the JSON maps `elem_to_json`,
     `elem_from_json` and `to_json`; and `char`, `is_finite`, `zero` and
     `one`.  A field is its value `_key`, "Q", ("GF", p) or ("GF", p,
-    modulus): fields compare and hash by it, however they were built."""
+    modulus): fields compare and hash by it, however they were built.  Field
+    itself holds `div` and the generic loops of polynomial arithmetic over
+    the element operations, which Q and tabled GF(p^m) partly override."""
 
     char: int
     is_finite: bool
@@ -194,8 +199,9 @@ class Field:
     # results carry no trailing zeros when the operands carry none; a divisor
     # and the operands of poly_gcd, poly_xgcd and the modulus of the *mod
     # methods must carry none.  These bodies are the generic loops over the
-    # element operations; a field with its own polynomial arithmetic
-    # overrides them.
+    # element operations.  Q overrides poly_mul and poly_gcd, and tabled
+    # GF(p^m) the five loops that touch coefficients (poly_add, poly_sub,
+    # poly_mul, poly_divmod, poly_eval); the others reach those through self.
 
     def poly_add(self, a, b):
         n = max(len(a), len(b))
@@ -658,7 +664,11 @@ def _build_tables(p, modulus):
 
 
 class ExtField(FiniteFieldMixin, Field):
-    """GF(p^m), p an odd prime and m >= 1."""
+    """GF(p^m), p an odd prime and m >= 1.  With tables (at most _TABLE_MAX
+    elements), its elements and its polynomial sums, products, divisions and
+    evaluations are table lookups; without them, each element operation
+    reduces modulo the defining polynomial, and its polynomials run the
+    generic loops of Field."""
 
     def __init__(self, p, m, modulus=None, seed=0):
         self._base = PrimeField(p)      # refuses p = 2 and a composite p
@@ -755,6 +765,111 @@ class ExtField(FiniteFieldMixin, Field):
 
     def to_json(self):
         return {"kind": "GF", "p": self.p, "m": self.m, "modulus": list(self.modulus)}
+
+    # -- polynomials on the tables --------------------------------------------
+    # Without tables these are Field's generic loops.  With them, no loop
+    # calls an element method: with n = q - 1, the product of g^s and g^t is
+    # exp[s + t], and their sum is g^(s + zech[(t - s) mod n]).
+
+    def poly_add(self, a, b):
+        log = self._log
+        if log is None:
+            return Field.poly_add(self, a, b)
+        exp, zech = self._exp, self._zech
+        if len(a) < len(b):
+            a, b = b, a
+        out = list(a)
+        for k, y in enumerate(b):
+            x = out[k]
+            if not x:
+                out[k] = y
+            elif y:
+                s = log[x]
+                z = zech[log[y] - s]        # a negative index wraps mod n
+                out[k] = 0 if z is None else exp[s + z]
+        return _trim(out, 0)
+
+    def poly_sub(self, a, b):
+        if self._log is None:
+            return Field.poly_sub(self, a, b)
+        neg = self._neg
+        return self.poly_add(a, [neg[c] for c in b])
+
+    def poly_mul(self, a, b):
+        log = self._log
+        if log is None:
+            return Field.poly_mul(self, a, b)
+        if not a or not b:
+            return []
+        n, exp, zech = self.order - 1, self._exp, self._zech
+        logs_b = [(j, log[y]) for j, y in enumerate(b) if y]
+        out = [0] * (len(a) + len(b) - 1)
+        for i, x in enumerate(a):
+            if x:
+                s = log[x]
+                for j, t in logs_b:
+                    k = i + j
+                    acc = out[k]
+                    if acc:
+                        u = log[acc]
+                        z = zech[(s + t - u) % n]
+                        out[k] = 0 if z is None else exp[u + z]
+                    else:
+                        out[k] = exp[s + t]
+        return out
+
+    def poly_divmod(self, a, b):
+        log = self._log
+        if log is None:
+            return Field.poly_divmod(self, a, b)
+        if not b:
+            raise ZeroDivisionError("polynomial division by zero")
+        db = len(b) - 1
+        if len(a) <= db:
+            return [], list(a)
+        if not b[-1]:
+            raise ZeroDivisionError("inverse of 0")
+        n, exp, zech, neg = self.order - 1, self._exp, self._zech, self._neg
+        inv_lead = n - log[b[-1]]
+        logs_neg_b = [(j, log[neg[c]]) for j, c in enumerate(b[:db]) if c]
+        r = list(a)
+        q = [0] * (len(a) - db)
+        for i in range(len(q) - 1, -1, -1):
+            c = r[i + db]
+            if not c:
+                continue
+            s = (log[c] + inv_lead) % n     # the log of q[i]
+            q[i] = exp[s]
+            for j, t in logs_neg_b:
+                k = i + j
+                acc = r[k]
+                if acc:
+                    u = log[acc]
+                    z = zech[(s + t - u) % n]
+                    r[k] = 0 if z is None else exp[u + z]
+                else:
+                    r[k] = exp[s + t]
+        return _trim(q, 0), _trim(r[:db], 0)
+
+    def poly_eval(self, a, x):
+        log = self._log
+        if log is None:
+            return Field.poly_eval(self, a, x)
+        if not x:
+            return a[0] if a else 0
+        # Horner's rule on the log of the running value, None while it is 0.
+        n, zech, s = self.order - 1, self._zech, log[x]
+        acc = None
+        for c in reversed(a):
+            if acc is not None:
+                acc += s
+            if c:
+                if acc is None:
+                    acc = log[c]
+                else:
+                    z = zech[(log[c] - acc) % n]
+                    acc = None if z is None else acc + z
+        return 0 if acc is None else self._exp[acc % n]
 
     def __repr__(self):
         return f"GF({self.p}^{self.m})"

@@ -65,13 +65,22 @@ def test_unknown_name_raises_attribute_error():
     assert not hasattr(hyptorsion, "weil")
 
 
-def test_fields_own_polynomial_arithmetic():
+def test_fields_own_polynomial_arithmetic(monkeypatch):
     from hyptorsion import fields, polyring
     assert not hasattr(polyring.Poly, "_kp")
     assert not hasattr(polyring, "PrimeField")
-    # GF(p) runs the generic loops of Field, as GF(p^m) does
-    for cls in (fields.PrimeField, fields.ExtField):
-        assert not [name for name in vars(cls) if name.startswith("poly_")], cls
+    # GF(p) runs the generic loops of Field; GF(p^m) has its table loops, and
+    # without tables they are Field's loops
+    assert not [name for name in vars(fields.PrimeField) if name.startswith("poly_")]
+    assert sorted(name for name in vars(fields.ExtField) if name.startswith("poly_")) == [
+        "poly_add", "poly_divmod", "poly_eval", "poly_mul", "poly_sub"]
+    monkeypatch.setattr(fields, "_TABLE_MAX", 0)
+    K = fields.ExtField(3, 4)
+    assert K._log is None
+    a, b = [5, 0, 80, 1, 7, 33], [2, 61, 1]
+    for name, args in (("poly_add", (a, b)), ("poly_sub", (a, b)), ("poly_mul", (a, b)),
+                       ("poly_divmod", (a, b)), ("poly_eval", (a, 40))):
+        assert getattr(K, name)(*args) == getattr(fields.Field, name)(K, *args), name
 
 
 def _unused_imports(path):

@@ -292,10 +292,11 @@ def _trim(a, zero):
 
 
 class TestFieldPolyArithmetic:
-    """Every field's poly_* methods: Q's override against the generic loops
-    of the Field base class, and the generic loops against their contract."""
+    """Every field's poly_* methods: Q's overrides against the generic loops
+    of the Field base class, GF(p^m)'s table loops against the generic loops
+    on its digit path, and the generic loops against their contract."""
 
-    # Q's poly_gcd is the one override of a generic body.
+    # Q's poly_mul and poly_gcd override generic bodies for every Q.
     @pytest.mark.parametrize("poly_field", ["Q"], indirect=True)
     def test_overrides_match_generic_bodies(self, poly_field):
         F = poly_field
@@ -403,23 +404,48 @@ class TestFieldPolyArithmetic:
         previous = signal.signal(signal.SIGALRM, stuck)
         signal.alarm(10)
         try:
-            with pytest.raises(ZeroDivisionError):
-                PrimeField(5).poly_invmod([1, 0], [1, 0, 1])
+            for F in (PrimeField(5), ExtField(3, 4)):
+                with pytest.raises(ZeroDivisionError):
+                    F.poly_invmod([1, 0], [1, 0, 1])
         finally:
             signal.alarm(0)
             signal.signal(signal.SIGALRM, previous)
 
     def test_tables_do_not_change_polynomials(self, monkeypatch):
-        F = ExtField(3, 4)
-        with monkeypatch.context() as mp:
-            mp.setattr(fields, "_TABLE_MAX", 0)
-            K = ExtField(3, 4, modulus=F.modulus)
-        trimmed, _ = _operands(F, 3)
+        """The table loops of GF(3^4), GF(5^3) and GF(7^2), each called
+        directly, against the generic loops on the digit path of the same
+        field."""
+        for p, m in ((3, 4), (5, 3), (7, 2)):
+            F = ExtField(p, m)
+            with monkeypatch.context() as mp:
+                mp.setattr(fields, "_TABLE_MAX", 0)
+                K = ExtField(p, m, modulus=F.modulus)
+            assert F._log is not None and K._log is None
+            self._check_table_loops(F, K, random.Random(p ** m))
+
+    @staticmethod
+    def _check_table_loops(F, K, rng):
+        def same(name, *args):
+            got = getattr(F, name)(*args)
+            assert _lists(got) == _lists(getattr(K, name)(*args)), (F, name, args)
+            return got
+
+        trimmed, _ = _operands(F, F.order)
         for a in trimmed:
-            assert F.poly_eval(a, 5) == K.poly_eval(a, 5)
+            for x in (F.zero, F.one, _elem(F, rng, nonzero=True)):
+                same("poly_eval", a, x)
             for b in trimmed:
                 for name in ("poly_add", "poly_sub", "poly_mul", "poly_xgcd"):
-                    assert (_lists(getattr(F, name)(a, b))
-                            == _lists(getattr(K, name)(a, b))), (name, a, b)
-                if b:
-                    assert F.poly_divmod(a, b) == K.poly_divmod(a, b)
+                    same(name, a, b)
+            # divisors of each degree 0 .. deg a + 1, inexact and exact
+            for db in range(len(a) + 1):
+                b = [_elem(F, rng) for _ in range(db)] + [_elem(F, rng, nonzero=True)]
+                same("poly_divmod", a, b)
+                assert same("poly_divmod", F.poly_mul(a, b), b) == (a, []), (F, a, b)
+            if a:
+                # top coefficients that cancel, down to the zero polynomial
+                low = [_elem(F, rng) for _ in range(len(a) - 1)]
+                assert same("poly_add", a, low + [F.neg(a[-1])]) == K.poly_add(a[:-1], low)
+                assert same("poly_sub", a, low + [a[-1]]) == K.poly_sub(a[:-1], low)
+                assert same("poly_sub", a, a) == []
+                assert same("poly_add", a, [F.neg(c) for c in a]) == []
